@@ -11,7 +11,6 @@
 //! `BLESS_RUNNER_GOLDEN=1 cargo test -p dispersion-bench --test
 //! runner_determinism`.
 
-use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::families::Family;
 use dispersion_sim::experiment::Process;
 use dispersion_sim::runner::Runner;
@@ -229,90 +228,6 @@ fn event_driven_resume_roundtrips_through_ndjson_text() {
     assert_eq!(restarted, full);
     assert_eq!(sink.resumed, full.len());
     assert_eq!(sink.started, 0, "nothing re-ran");
-}
-
-/// Parallel-schedule cells whose rounds are wide enough (n > 256) to
-/// exercise the partitioned engine's fan-out path, parameterised by the
-/// intra-trial walker-thread count. `walker_threads` is excluded from the
-/// cell key, so specs differing only in it are checkpoint-compatible.
-fn walker_thread_spec(wt: usize) -> ExperimentSpec {
-    let seed = 21u64;
-    let mut spec = ExperimentSpec::new(seed);
-    let cfg = ProcessConfig::simple().with_walker_threads(wt);
-    for (k, (fam, measure)) in [
-        (
-            FamilySpec::implicit(Family::Torus2d, 400),
-            Measure::Dispersion(Process::Parallel),
-        ),
-        (
-            FamilySpec::explicit(Family::Torus2d, 400),
-            Measure::ParallelWithHalf,
-        ),
-        (
-            FamilySpec::implicit(Family::Hypercube, 512),
-            Measure::Dispersion(Process::Parallel),
-        ),
-        // a narrow cell stays on the inline path for contrast
-        (
-            FamilySpec::explicit(Family::Cycle, 64),
-            Measure::Dispersion(Process::Parallel),
-        ),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        spec.push(
-            CellSpec::new(fam, measure)
-                .budget(Budget::Trials(4))
-                .master_seed(seed.wrapping_add(k as u64 + 1))
-                .config(cfg),
-        );
-    }
-    spec
-}
-
-#[test]
-fn runner_threads_times_walker_threads_bit_identical() {
-    // the full two-level grid: trial-level runner threads × intra-trial
-    // walker threads — every combination must reproduce the (1, 1) run
-    // bit-for-bit, including the cell keys (walker_threads is excluded)
-    let mut sink = MemorySink::default();
-    let reference = Runner::new(1).run(&walker_thread_spec(1), &[], &mut sink);
-    for runner_threads in [1usize, 2, 4] {
-        for walker_threads in [1usize, 2, 4] {
-            let mut sink = MemorySink::default();
-            let records = Runner::new(runner_threads).run(
-                &walker_thread_spec(walker_threads),
-                &[],
-                &mut sink,
-            );
-            assert_eq!(
-                records, reference,
-                "runner_threads={runner_threads} walker_threads={walker_threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn walker_thread_checkpoints_resume_across_thread_counts() {
-    // a checkpoint written by a walker_threads=4 run must resume a
-    // walker_threads=1 spec (and vice versa) through its NDJSON form:
-    // the cell keys are thread-count-free and the numerics bit-identical
-    let mut sink = MemorySink::default();
-    let full = Runner::new(2).run(&walker_thread_spec(4), &[], &mut sink);
-    let text: String = full
-        .iter()
-        .map(|r| format!("{}\n", r.to_json_line()))
-        .collect();
-    let parsed = parse_ndjson(&text).unwrap();
-    for (wt, cut) in [(1usize, 2usize), (2, full.len()), (4, 1)] {
-        let checkpoint: Vec<Record> = parsed[..cut].to_vec();
-        let mut sink = MemorySink::default();
-        let restarted = Runner::new(3).run(&walker_thread_spec(wt), &checkpoint, &mut sink);
-        assert_eq!(restarted, full, "walker_threads={wt} resume after {cut}");
-        assert_eq!(sink.resumed, cut, "walker_threads={wt}");
-    }
 }
 
 #[test]

@@ -47,7 +47,6 @@
 //! ```
 
 pub mod observer;
-pub mod partition;
 pub mod rule;
 pub mod schedule;
 
@@ -119,9 +118,6 @@ pub struct EngineConfig {
     pub origins: Origins,
     /// Number of particles (`1..=g.n()`).
     pub particles: usize,
-    /// Intra-trial walker threads for round-structured schedules (see
-    /// [`ProcessConfig::walker_threads`]); `1` means the serial engine.
-    pub walker_threads: usize,
 }
 
 impl EngineConfig {
@@ -139,7 +135,6 @@ impl EngineConfig {
             step_cap: cfg.step_cap,
             origins: Origins::Single(origin),
             particles: k,
-            walker_threads: cfg.walker_threads,
         }
     }
 
@@ -150,7 +145,6 @@ impl EngineConfig {
             step_cap: cfg.step_cap,
             origins: Origins::RandomUniform,
             particles: k,
-            walker_threads: cfg.walker_threads,
         }
     }
 }

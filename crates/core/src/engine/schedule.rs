@@ -113,17 +113,6 @@ pub trait Schedule {
     fn spawn_mode(&self) -> SpawnMode {
         SpawnMode::Eager
     }
-
-    /// Whether one round of this schedule is a data-parallel batch (every
-    /// active particle moves exactly once, in ascending slot order, with
-    /// no randomness consumed by the schedule itself). Batched schedules
-    /// are eligible for the partitioned engine
-    /// ([`crate::engine::partition::run_parallel`]); the event-chain
-    /// schedules (Sequential, Uniform, CTU) draw serially dependent gaps
-    /// and stay on the serial loop.
-    fn round_batched(&self) -> bool {
-        false
-    }
 }
 
 /// Sequential-IDLA: the lowest-index unsettled particle moves every tick;
@@ -194,10 +183,6 @@ impl Schedule for Parallel {
 
     fn removal(&self) -> Removal {
         Removal::AtRoundEnd
-    }
-
-    fn round_batched(&self) -> bool {
-        true
     }
 }
 

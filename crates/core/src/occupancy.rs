@@ -4,13 +4,12 @@
 //! particle has settled. The hot loop queries and updates it once per walk
 //! step, so it is a flat bitmap plus a settled counter — stored as packed
 //! 64-bit words (8× denser than `Vec<bool>`, so far more of a big torus
-//! fits in cache) behind relaxed atomics so the partitioned engine's walker
-//! threads can read it, and the merge pass can settle through a shared
-//! reference, without copying the map per round. Occupancy is monotone
-//! (bits only ever turn on), which is what makes relaxed ordering sound:
-//! a stale read can only under-report the aggregate, and every reader that
-//! needs the authoritative answer (the settle-merge) re-checks on the
-//! thread that performs all writes.
+//! fits in cache) behind relaxed atomics, so a map can be read from other
+//! threads and settled through a shared reference
+//! ([`Occupancy::settle_shared`]). The engine itself is single-threaded
+//! and owns its map. Occupancy is monotone (bits only ever turn on), which
+//! is what makes relaxed ordering sound: a stale read can only
+//! under-report the aggregate.
 
 use dispersion_graphs::Vertex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,8 +60,7 @@ impl Occupancy {
         let v = v as usize;
         debug_assert!(v < self.n);
         // ORDERING: Relaxed — occupancy is monotone (bits only turn on), so a
-        // stale read only under-reports; the settle-merge re-checks on the
-        // single writer thread before acting (module docs)
+        // stale read only under-reports (module docs)
         self.words[v >> 6].load(Ordering::Relaxed) >> (v & 63) & 1 == 1
     }
 
@@ -77,24 +75,22 @@ impl Occupancy {
         self.settle_shared(v);
     }
 
-    /// Marks `v` occupied through a shared reference. Only the engine's
-    /// merge thread calls this (settling is single-writer even in the
-    /// partitioned engine); the shared signature exists so it can run while
-    /// walker threads hold `&Occupancy`. Panics on double-settle like
-    /// [`Occupancy::settle`].
+    /// Marks `v` occupied through a shared reference, so a settling thread
+    /// can run while others hold `&Occupancy`. Panics on double-settle
+    /// like [`Occupancy::settle`].
     #[inline]
     pub fn settle_shared(&self, v: Vertex) {
         let vi = v as usize;
         debug_assert!(vi < self.n);
-        // ORDERING: Relaxed — single-writer monotone set; the RMW is atomic on
-        // its own word and readers tolerate staleness (see is_occupied)
+        // ORDERING: Relaxed — monotone set; the RMW is atomic on its own word
+        // and readers tolerate staleness (see is_occupied)
         let prev = self.words[vi >> 6].fetch_or(1 << (vi & 63), Ordering::Relaxed);
         assert!(
             prev >> (vi & 63) & 1 == 0,
             "vertex {v} settled twice: scheduler bug"
         );
         // ORDERING: Relaxed — count is a statistic, not a synchronisation
-        // point; only the writer thread's own reads need the exact value
+        // point; only a writer's own reads need the exact value
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -66,13 +66,6 @@ pub fn sample_gamma_int<R: Rng + ?Sized>(shape: u64, rng: &mut R) -> f64 {
 /// Runs one continuous-time Uniform-IDLA (CTU-IDLA) realization on any
 /// [`Topology`] backend.
 ///
-/// `cfg.walker_threads` is accepted but ignored: CTU has no round
-/// structure to partition — each event's `Exp(k)` gap draw depends on the
-/// active count left by the previous event, so the RNG stream is serially
-/// dependent and a bit-identical parallel replay does not exist (see
-/// `docs/parallelism.md`). The knob still composes at the trial level
-/// (runner threads), where CTU cells parallelise across trials.
-///
 /// # Errors
 ///
 /// Returns [`EngineError::StepCapExceeded`] if the walk-step cap fires.

@@ -29,15 +29,6 @@ pub struct ProcessConfig {
     /// exceeding it returns [`crate::engine::EngineError::StepCapExceeded`]
     /// (catches schedulers that cannot terminate).
     pub step_cap: u64,
-    /// Walker threads *inside* one trial (the second level of parallelism;
-    /// the first is trials across the `dispersion_sim` runner). `1` runs
-    /// the classic serial engine; `> 1` routes round-structured schedules
-    /// (Parallel) through [`crate::engine::partition`], which is
-    /// bit-identical to the serial engine for every thread count — results
-    /// never depend on this knob, so it is excluded from experiment cell
-    /// fingerprints. Event-chain schedules (Sequential, Uniform, CTU)
-    /// ignore it and stay serial.
-    pub walker_threads: usize,
 }
 
 impl Default for ProcessConfig {
@@ -46,7 +37,6 @@ impl Default for ProcessConfig {
             walk: WalkKind::Simple,
             record_trajectories: false,
             step_cap: 1 << 44,
-            walker_threads: 1,
         }
     }
 }
@@ -77,9 +67,10 @@ impl ProcessConfig {
         self
     }
 
-    /// Sets the intra-trial walker-thread count (`0` is normalised to `1`).
-    pub fn with_walker_threads(mut self, threads: usize) -> Self {
-        self.walker_threads = threads.max(1);
+    /// Accepts and ignores a walker-thread count. Every run is serial
+    /// within one trial; trials and cells parallelise across the
+    /// `dispersion_sim` runner. Kept only for callers that still pass it.
+    pub fn with_walker_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -94,18 +85,5 @@ mod tests {
         assert_eq!(ProcessConfig::lazy().walk, WalkKind::Lazy);
         assert!(ProcessConfig::simple().recording().record_trajectories);
         assert_eq!(ProcessConfig::simple().with_cap(42).step_cap, 42);
-        assert_eq!(ProcessConfig::simple().walker_threads, 1);
-        assert_eq!(
-            ProcessConfig::simple()
-                .with_walker_threads(4)
-                .walker_threads,
-            4
-        );
-        assert_eq!(
-            ProcessConfig::simple()
-                .with_walker_threads(0)
-                .walker_threads,
-            1
-        );
     }
 }

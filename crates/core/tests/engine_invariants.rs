@@ -435,74 +435,6 @@ fn random_origin_spawns_respect_the_settle_rule() {
 }
 
 #[test]
-fn partitioned_engine_upholds_invariants_on_every_family() {
-    // the walker-thread partitioned path is subject to the same suite
-    // gates as the serial schedules: settled set a permutation of V, a
-    // valid parallel realization block, and an Odometer whose counters
-    // match the outcome's clocks — on every Table 1 family, with the
-    // serial engine's result as the bit-exact reference
-    use dispersion_core::engine::partition;
-    for (k, family) in Family::table1().into_iter().enumerate() {
-        let mut grng = StdRng::seed_from_u64(800 + k as u64);
-        let inst = family.instance(48, &mut grng);
-        let n = inst.graph.n();
-        let ecfg = EngineConfig::full(&inst.graph, 0, &ProcessConfig::simple());
-        let mut srng = StdRng::seed_from_u64(8000 + k as u64);
-        let serial = engine::run(
-            &inst.graph,
-            &mut schedule::Parallel::new(),
-            &FirstVacant,
-            &ecfg,
-            &mut (),
-            &mut srng,
-        )
-        .unwrap();
-        for threads in [2usize, 4] {
-            let mut ecfg_t = ecfg;
-            ecfg_t.walker_threads = threads;
-            let mut rng = StdRng::seed_from_u64(8000 + k as u64);
-            let mut odo = Odometer::default();
-            let mut traj = TrajectoryBlock::with_timing();
-            let out = partition::run_parallel(
-                &inst.graph,
-                &FirstVacant,
-                &ecfg_t,
-                &mut (&mut odo, &mut traj),
-                &mut rng,
-            )
-            .unwrap();
-            let what = format!("{} walker_threads={threads}", inst.label);
-            let mut settled = out.settled_at.clone();
-            settled.sort_unstable();
-            assert_eq!(
-                settled,
-                (0..n as u32).collect::<Vec<_>>(),
-                "{what}: settled set not a permutation of V"
-            );
-            let (block, timed, sched) = traj.into_parts();
-            assert!(is_parallel_block(&block), "{what}");
-            assert!(rows_are_walks(&block, &inst.graph, false), "{what}");
-            // R_t completeness: the merge fires one on_tick per retired
-            // tick, so the realized schedule has an entry for every tick
-            assert_eq!(sched.unwrap().len() as u64, out.ticks, "{what}: R_t");
-            assert_eq!(
-                timed.unwrap().settle_tick(),
-                out.settle_tick,
-                "{what}: settle tick through the timing array"
-            );
-            assert_eq!(odo.ticks, out.ticks, "{what}: odometer ticks");
-            assert_eq!(odo.steps, out.total_steps, "{what}: odometer steps");
-            assert_eq!(odo.settles as usize, n, "{what}: odometer settles");
-            assert_eq!(odo.rounds, out.rounds, "{what}: odometer rounds");
-            assert_eq!(out.steps, serial.steps, "{what}: vs serial engine");
-            assert_eq!(out.settled_at, serial.settled_at, "{what}: vs serial");
-            assert_eq!(out.ticks, serial.ticks, "{what}: vs serial");
-            assert_eq!(out.rounds, serial.rounds, "{what}: vs serial");
-        }
-    }
-}
-
-#[test]
 fn half_index_thresholds_are_about_half() {
     for k in [2usize, 3, 17, 63, 64, 128, 144, 1000] {
         let j = PhaseTimes::half_index(k);

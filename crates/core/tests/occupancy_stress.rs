@@ -1,11 +1,10 @@
 //! Concurrent stress for the atomic occupancy bitset.
 //!
-//! The partitioned engine's soundness story for `Occupancy` is: settling is
-//! single-writer (the merge thread), reads are relaxed and may be stale,
-//! and occupancy is monotone so staleness only ever under-reports. These
-//! tests push on the two halves of that story harder than the engine
-//! itself does — many racing settle threads over disjoint stripes, and a
-//! racing reader watching for any non-monotone or over-reporting state.
+//! The soundness story for the shared `Occupancy` API is: reads are
+//! relaxed and may be stale, and occupancy is monotone so staleness only
+//! ever under-reports. These tests push on it with many racing settle
+//! threads over disjoint stripes, and a racing reader watching for any
+//! non-monotone or over-reporting state.
 
 use dispersion_core::occupancy::Occupancy;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,8 +1,8 @@
 //! `forbid-unsafe-present` — every crate root keeps `#![forbid(unsafe_code)]`.
 //!
 //! The whole workspace is safe Rust and the concurrency story (atomic
-//! bitset, scoped walker threads, the serve job store) leans on the
-//! compiler for data-race freedom. `forbid` (not `deny`) is the right
+//! bitset, the trial runner's worker threads, the serve job store) leans on
+//! the compiler for data-race freedom. `forbid` (not `deny`) is the right
 //! strength: it cannot be overridden by an inner `#[allow]`, so a future
 //! "just one little `unsafe` block" has to come through this lint and the
 //! crate manifest, not slip in under an attribute. The rule checks that

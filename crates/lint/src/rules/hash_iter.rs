@@ -1,10 +1,10 @@
 //! `no-hash-iter` — no `HashMap`/`HashSet` in deterministic crates.
 //!
 //! The engine's bit-reproducibility contract (identical outcomes across
-//! `--threads`, `--walker-threads`, backends, and checkpoint resume) dies
-//! the moment any result depends on hash-map iteration order: `std`'s
-//! hasher is `RandomState`-seeded per process, so two runs of the *same
-//! binary* can iterate the same map differently. Rather than audit every
+//! `--threads`, backends, and checkpoint resume) dies the moment any result
+//! depends on hash-map iteration order: `std`'s hasher is
+//! `RandomState`-seeded per process, so two runs of the *same binary* can
+//! iterate the same map differently. Rather than audit every
 //! use site for "do we ever iterate?", the deterministic crates (`core`,
 //! `sim`, `graphs`) ban the types outright in non-test code. Genuinely
 //! order-free uses (pure membership tests that are never iterated) must be

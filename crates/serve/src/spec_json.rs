@@ -159,13 +159,6 @@ fn parse_cell(v: &Json, idx: usize) -> Result<CellSpec, String> {
     if let Some(cap) = get_u64(v, "step_cap").map_err(&err)? {
         cfg = cfg.with_cap(cap);
     }
-    if let Some(wt) = get_u64(v, "walker_threads").map_err(&err)? {
-        let wt = usize::try_from(wt)
-            .ok()
-            .filter(|&wt| (1..=1024).contains(&wt))
-            .ok_or_else(|| err(format!("walker_threads {wt} out of range 1..=1024")))?;
-        cfg = cfg.with_walker_threads(wt);
-    }
     cell = cell.config(cfg);
     if let Some(ms) = get_u64(v, "master_seed").map_err(&err)? {
         cell = cell.master_seed(ms);
@@ -237,14 +230,6 @@ pub fn spec_to_json(spec: &ExperimentSpec) -> String {
             ",\"walk\":\"{walk}\",\"step_cap\":{}",
             fmt_u64(c.cfg.step_cap)
         ));
-        // Emitted only when non-default so canonical bytes of existing
-        // specs (and their checkpoint fingerprints) are unchanged.
-        if c.cfg.walker_threads != 1 {
-            s.push_str(&format!(
-                ",\"walker_threads\":{}",
-                fmt_u64(c.cfg.walker_threads as u64)
-            ));
-        }
         if let Some(ms) = c.master_seed {
             s.push_str(&format!(",\"master_seed\":{}", fmt_u64(ms)));
         }
@@ -277,11 +262,7 @@ mod tests {
                 min_trials: 16,
                 max_trials: 4096,
             })
-            .config(
-                ProcessConfig::lazy()
-                    .with_cap(1 << 20)
-                    .with_walker_threads(4),
-            )
+            .config(ProcessConfig::lazy().with_cap(1 << 20))
             .master_seed(u64::MAX - 1),
         );
         spec.push(
@@ -334,34 +315,24 @@ mod tests {
         assert_eq!(c.budget, Budget::Trials(100));
         assert_eq!(c.family.backend, BackendSpec::Explicit);
         assert_eq!(c.cfg.walk, WalkKind::Simple);
-        assert_eq!(c.cfg.walker_threads, 1);
         assert_eq!(c.master_seed, None);
     }
 
     #[test]
-    fn walker_threads_parse_and_default_emission() {
-        // Default (1) is not emitted: canonical bytes of old specs stay
-        // stable.
-        let spec =
-            spec_from_json(r#"{"cells":[{"family":"clique","size":16,"measure":"par"}]}"#).unwrap();
-        assert!(!spec_to_json(&spec).contains("walker_threads"));
-        // Non-default round-trips exactly.
-        let spec = spec_from_json(
-            r#"{"cells":[{"family":"grid2d","size":25,"measure":"par","walker_threads":4}]}"#,
-        )
-        .unwrap();
-        assert_eq!(spec.cells[0].cfg.walker_threads, 4);
-        let text = spec_to_json(&spec);
-        assert!(text.contains("\"walker_threads\":4"));
-        assert_eq!(
-            spec_from_json(&text).unwrap().cells[0].cfg.walker_threads,
-            4
-        );
-        // Out-of-range rejected.
-        assert!(spec_from_json(
-            r#"{"cells":[{"family":"clique","size":4,"measure":"par","walker_threads":0}]}"#,
-        )
-        .is_err());
+    fn retired_walker_thread_key_is_ignored() {
+        // Specs written while cells carried an intra-trial thread count
+        // (persisted `job-<id>.spec.json` files, old clients) still decode
+        // to the cell they describe, and re-encode without the key.
+        let plain = r#"{"cells":[{"family":"grid2d","size":25,"measure":"par"}]}"#;
+        let legacy =
+            r#"{"cells":[{"family":"grid2d","size":25,"measure":"par","walker_threads":4}]}"#;
+        let plain = spec_from_json(plain).unwrap();
+        let legacy = spec_from_json(legacy).unwrap();
+        assert_eq!(format!("{:?}", legacy.cells), format!("{:?}", plain.cells));
+        assert_eq!(legacy.cell_key(0), plain.cell_key(0));
+        let text = spec_to_json(&legacy);
+        assert_eq!(text, spec_to_json(&plain));
+        assert!(!text.contains("walker_threads"));
     }
 
     #[test]

@@ -120,6 +120,22 @@ fn healthz_metrics_and_error_paths() {
 }
 
 #[test]
+fn deeply_nested_spec_is_rejected_and_server_survives() {
+    // the JSON parser recurses per nesting level: without its depth cap
+    // 200 KB of `[` overflows the connection thread's stack, and a stack
+    // overflow aborts the whole process
+    let (server, client) = start(ServerConfig::default());
+    let body = vec![b'['; 200_000];
+    let resp = client.request("POST", "/jobs", &[], &body).unwrap();
+    assert!((400..500).contains(&resp.status), "status {}", resp.status);
+    assert!(resp.text().contains("nesting"), "{}", resp.text());
+
+    let resp = client.request("GET", "/healthz", &[], b"").unwrap();
+    assert_eq!((resp.status, resp.text().as_str()), (200, "ok\n"));
+    server.stop();
+}
+
+#[test]
 fn stream_is_bit_identical_to_in_process_runner_and_resumes() {
     let (server, client) = start(ServerConfig::default());
     let spec = small_spec(7);

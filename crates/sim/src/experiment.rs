@@ -67,19 +67,14 @@ impl Process {
     /// # Errors
     ///
     /// Returns [`EngineError::StepCapExceeded`] when the safety cap fires.
-    pub fn run_observed<T, O, R>(
+    pub fn run_observed<T: Topology + ?Sized, O: engine::Observer, R: rand::Rng + ?Sized>(
         self,
         g: &T,
         origin: Vertex,
         cfg: &ProcessConfig,
         obs: &mut O,
         rng: &mut R,
-    ) -> Result<engine::EngineOutcome, EngineError>
-    where
-        T: Topology + Sync + ?Sized,
-        O: engine::Observer,
-        R: rand::RewindableRng + ?Sized,
-    {
+    ) -> Result<engine::EngineOutcome, EngineError> {
         let ecfg = EngineConfig::full(g, origin, cfg);
         match self {
             Process::Sequential => engine::run(
@@ -106,11 +101,14 @@ impl Process {
                     .fold(0.0, f64::max);
                 Ok(out)
             }
-            // Routed through the partitioned engine: serial for
-            // walker_threads <= 1, partitioned rounds otherwise —
-            // bit-identical either way, so the knob never shows up in
-            // results or cell fingerprints.
-            Process::Parallel => engine::partition::run_parallel(g, &FirstVacant, &ecfg, obs, rng),
+            Process::Parallel => engine::run(
+                g,
+                &mut schedule::Parallel::new(),
+                &FirstVacant,
+                &ecfg,
+                obs,
+                rng,
+            ),
             Process::Uniform => engine::run(
                 g,
                 &mut schedule::Uniform::new(g.n()),
@@ -131,7 +129,7 @@ impl Process {
     /// # Errors
     ///
     /// Returns [`EngineError::StepCapExceeded`] when the safety cap fires.
-    pub fn try_dispersion_time<T: Topology + Sync + ?Sized, R: rand::RewindableRng + ?Sized>(
+    pub fn try_dispersion_time<T: Topology + ?Sized, R: rand::Rng + ?Sized>(
         self,
         g: &T,
         origin: Vertex,

@@ -105,11 +105,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax problem.
+    /// Returns a description of the first syntax problem, including
+    /// arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Json, String> {
         let bytes = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -163,14 +164,28 @@ pub fn fmt_str(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a body of a few hundred
+/// thousand `[` overflows the stack and aborts the process. The documents
+/// this workspace writes (specs, records, shard frames) nest only a few
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing arrays/objects nest `depth` deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -183,7 +198,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -192,7 +207,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                obj.push((key, parse_value(b, pos)?));
+                obj.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -213,7 +228,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(arr));
             }
             loop {
-                arr.push(parse_value(b, pos)?);
+                arr.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -337,6 +352,34 @@ mod tests {
                 Json::Arr(vec![Json::Num(1.0), Json::Str("é🦀".into())])
             )])
         );
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // uncapped, one recursion per `[` overflows a 2 MiB stack long
+        // before a million levels, and a stack overflow aborts the process
+        let input = "[".repeat(1_000_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&input).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(result);
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl Measure {
     /// # Panics
     ///
     /// Panics if `out.len()` differs from `stat_names().len()`.
-    pub fn run_trial<R: rand::RewindableRng + ?Sized>(
+    pub fn run_trial<R: Rng + ?Sized>(
         &self,
         cell: &ResolvedCell,
         cfg: &ProcessConfig,
@@ -274,7 +274,7 @@ impl Measure {
     }
 
     /// The generic trial body, monomorphised per backend.
-    fn run_on<T: Topology + Sync + ?Sized, R: rand::RewindableRng + ?Sized>(
+    fn run_on<T: Topology + ?Sized, R: Rng + ?Sized>(
         &self,
         g: &T,
         origin: Vertex,
