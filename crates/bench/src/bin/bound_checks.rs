@@ -13,14 +13,34 @@
 use dispersion_bench::Options;
 use dispersion_bounds::lower::{prop39_mixing_lower, thm36_edges_over_maxdeg, thm37_tree_lower};
 use dispersion_bounds::upper::{thm31_whp_threshold, thm33_spectral, thm35_spectral};
-use dispersion_core::engine::observer::PhaseTimes;
 use dispersion_core::process::ProcessConfig;
-use dispersion_graphs::families::Family;
+use dispersion_graphs::families::{Family, Instance};
 use dispersion_graphs::traversal::is_tree;
 use dispersion_markov::transition::WalkKind;
-use dispersion_sim::experiment::{dispersion_samples, phase_time_samples, Process};
+use dispersion_sim::experiment::Process;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
+use dispersion_sim::spec::Measure;
 use dispersion_sim::table::{fmt_f, TextTable};
+
+/// The per-statistic sample columns of `trials` runs of `m` on `inst`,
+/// panicking on a step-cap overrun.
+fn columns(
+    m: Measure,
+    inst: &Instance,
+    cfg: &ProcessConfig,
+    opts: &Options,
+    seed: u64,
+) -> Vec<Vec<f64>> {
+    m.samples(
+        &inst.graph,
+        inst.origin,
+        cfg,
+        opts.trials,
+        opts.threads,
+        seed,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+}
 
 fn main() {
     let opts = Options::from_env();
@@ -56,30 +76,23 @@ fn main() {
         let inst = family.instance(n, &mut grng);
         let g = &inst.graph;
         let s0 = opts.seed + 31 * k as u64;
-        let par = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Parallel,
+        let par = columns(
+            Measure::Dispersion(Process::Parallel),
+            &inst,
             &cfg,
-            opts.trials,
-            opts.threads,
+            &opts,
             s0,
-        );
-        // the lazy runs stream Thm 3.3 phase profiles out of the engine:
-        // phases[0] is the dispersion time, the half-milestone the round at
-        // which at most n/2 particles remained
-        let lazy_profiles =
-            phase_time_samples(g, inst.origin, &lazy, opts.trials, opts.threads, s0 + 1);
+        )
+        .remove(0);
+        // the lazy runs stream the Thm 3.3 half-milestone out of the engine
+        // next to the dispersion time: the round at which at most n/2
+        // particles remained
+        let lazy_cols = columns(Measure::ParallelWithHalf, &inst, &lazy, &opts, s0 + 1);
         let threshold = thm31_whp_threshold(g, WalkKind::Simple);
         let exceed = par.iter().filter(|&&x| x > threshold).count() as f64 / par.len() as f64;
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-        let maxv = lazy_profiles
-            .iter()
-            .map(|p| p[0] as f64)
-            .fold(0.0f64, f64::max);
-        let j_half = PhaseTimes::half_index(g.n());
-        let half = lazy_profiles.iter().map(|p| p[j_half] as f64).sum::<f64>()
-            / lazy_profiles.len() as f64;
+        let maxv = lazy_cols[0].iter().copied().fold(0.0f64, f64::max);
+        let half = mean(&lazy_cols[1]);
         up.push_row([
             inst.label.to_string(),
             fmt_f(mean(&par)),
@@ -110,24 +123,9 @@ fn main() {
         let inst = family.instance(n, &mut grng);
         let g = &inst.graph;
         let s0 = opts.seed + 77 * k as u64;
-        let seq = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0,
-        );
-        let seq_lazy = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Sequential,
-            &lazy,
-            opts.trials,
-            opts.threads,
-            s0 + 1,
-        );
+        let m = Measure::Dispersion(Process::Sequential);
+        let seq = columns(m, &inst, &cfg, &opts, s0).remove(0);
+        let seq_lazy = columns(m, &inst, &lazy, &opts, s0 + 1).remove(0);
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         let tree_bound = if is_tree(g) {
             fmt_f(thm37_tree_lower(g))

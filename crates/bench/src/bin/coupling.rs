@@ -12,11 +12,26 @@ use dispersion_core::block::{parallel_to_sequential, sequential_to_parallel};
 use dispersion_core::process::parallel::run_parallel;
 use dispersion_core::process::sequential::run_sequential;
 use dispersion_core::process::ProcessConfig;
-use dispersion_graphs::families::Family;
+use dispersion_graphs::families::{Family, Instance};
 use dispersion_sim::dominance::{dominance_violation, ks_p_value};
-use dispersion_sim::experiment::{dispersion_samples, total_steps_samples, Process};
+use dispersion_sim::experiment::Process;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
+use dispersion_sim::spec::Measure::{self, Dispersion, TotalSteps};
 use dispersion_sim::table::{fmt_f, TextTable};
+
+/// `trials` samples of the single-statistic measure `m` on `inst`,
+/// panicking on a step-cap overrun.
+fn sample(m: Measure, inst: &Instance, cfg: &ProcessConfig, opts: &Options, seed: u64) -> Vec<f64> {
+    let cols = m.samples(
+        &inst.graph,
+        inst.origin,
+        cfg,
+        opts.trials,
+        opts.threads,
+        seed,
+    );
+    cols.unwrap_or_else(|e| panic!("{e}")).remove(0)
+}
 
 fn main() {
     let opts = Options::from_env();
@@ -45,44 +60,11 @@ fn main() {
     for (k, family) in families.iter().enumerate() {
         let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, k as u64));
         let inst = family.instance(n, &mut grng);
-        let g = &inst.graph;
         let s0 = opts.seed + 100 * k as u64;
-        let seq = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0,
-        );
-        let par = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 1,
-        );
-        let ts = total_steps_samples(
-            g,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 2,
-        );
-        let tp = total_steps_samples(
-            g,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 3,
-        );
+        let seq = sample(Dispersion(Process::Sequential), &inst, &cfg, &opts, s0);
+        let par = sample(Dispersion(Process::Parallel), &inst, &cfg, &opts, s0 + 1);
+        let ts = sample(TotalSteps(Process::Sequential), &inst, &cfg, &opts, s0 + 2);
+        let tp = sample(TotalSteps(Process::Parallel), &inst, &cfg, &opts, s0 + 3);
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         t.push_row([
             inst.label.to_string(),
@@ -104,24 +86,8 @@ fn main() {
         let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, 0x100 + k as u64));
         let inst = family.instance(n, &mut grng);
         let s0 = opts.seed + 500 * (k as u64 + 1);
-        let seq = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0,
-        );
-        let par = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 1,
-        );
+        let seq = sample(Dispersion(Process::Sequential), &inst, &cfg, &opts, s0);
+        let par = sample(Dispersion(Process::Parallel), &inst, &cfg, &opts, s0 + 1);
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         let ratio = mean(&par) / mean(&seq);
         let nn = inst.graph.n() as f64;

@@ -22,16 +22,16 @@
 //! ([`TMIX_EXPLICIT_LIMIT`]) and reported as NaN beyond.
 
 use dispersion_bench::{Backend, Options};
+use dispersion_core::engine::observer::PhaseTimes;
 use dispersion_core::process::partial::{run_parallel_k, run_sequential_random_origins};
 use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::process::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::topology::Implicit;
 use dispersion_graphs::Topology;
 use dispersion_markov::mixing::mixing_time;
 use dispersion_markov::transition::WalkKind;
-use dispersion_sim::experiment::{mean_phase_profile, phase_time_samples};
-use dispersion_sim::parallel::par_samples;
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::stats::Summary;
 use dispersion_sim::table::{fmt_f, TextTable};
@@ -69,7 +69,7 @@ fn k_sweep_rows<T: Topology + Sync + ?Sized>(
     let nn = t.n();
     for (ki, frac) in [0.25f64, 0.5, 0.75, 1.0].into_iter().enumerate() {
         let k = ((nn as f64 * frac) as usize).max(1);
-        let samples = par_samples(
+        let samples = par_trials(
             opts.trials,
             opts.threads,
             opts.seed + (100 * fk + ki) as u64,
@@ -84,6 +84,26 @@ fn k_sweep_rows<T: Topology + Sync + ?Sized>(
     }
 }
 
+/// The Theorem 3.3 phase profiles of `trials` Parallel runs on one
+/// backend: `phases[j]` is the first round with fewer than `2^j`
+/// particles unsettled (`j = 0` is the dispersion time).
+fn phase_profiles<T: Topology + Sync + ?Sized>(
+    t: &T,
+    origin: u32,
+    cfg: &ProcessConfig,
+    trials: usize,
+    threads: usize,
+    seed: u64,
+) -> Vec<Vec<u64>> {
+    par_trials(trials, threads, seed, |_, rng| {
+        let mut phases = PhaseTimes::for_particles(t.n());
+        Process::Parallel
+            .run_observed(t, origin, cfg, &mut phases, rng)
+            .unwrap_or_else(|e| panic!("{e}"));
+        phases.phases
+    })
+}
+
 /// One single-origin vs random-origins comparison row on one backend.
 fn origins_row<T: Topology + Sync + ?Sized>(
     t: &T,
@@ -95,13 +115,13 @@ fn origins_row<T: Topology + Sync + ?Sized>(
     table: &mut TextTable,
 ) {
     let nn = t.n();
-    let single = par_samples(
+    let single = par_trials(
         opts.trials,
         opts.threads,
         opts.seed + 200 + fk as u64,
         |_, rng| run_sequential(t, origin, cfg, rng).unwrap().dispersion_time as f64,
     );
-    let spread = par_samples(
+    let spread = par_trials(
         opts.trials,
         opts.threads,
         opts.seed + 300 + fk as u64,
@@ -213,7 +233,7 @@ fn main() {
         } else {
             f64::NAN
         };
-        let runs = with_concrete!(imp, tp => phase_time_samples(
+        let runs = with_concrete!(imp, tp => phase_profiles(
             &tp,
             0,
             &cfg,
@@ -225,7 +245,7 @@ fn main() {
     } else {
         let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, 0x200));
         let inst = Family::Hypercube.instance(n, &mut grng);
-        let runs = phase_time_samples(
+        let runs = phase_profiles(
             &inst.graph,
             inst.origin,
             &cfg,
@@ -235,7 +255,11 @@ fn main() {
         );
         (runs, tmix_of(&inst.graph))
     };
-    let profile = mean_phase_profile(&runs);
+    // column means: profile[j] is the mean round at which fewer than 2^j
+    // particles remained
+    let profile: Vec<f64> = (0..runs.first().map_or(0, Vec::len))
+        .map(|j| runs.iter().map(|s| s[j] as f64).sum::<f64>() / runs.len() as f64)
+        .collect();
     let mut t3 = TextTable::new(["j (≤2^j−1 left)", "mean round", "round/t_mix"]);
     for (j, &mean) in profile.iter().enumerate().rev() {
         t3.push_row([j.to_string(), fmt_f(mean), fmt_f(mean / tmix)]);

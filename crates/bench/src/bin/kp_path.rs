@@ -14,8 +14,9 @@ use dispersion_bench::Options;
 use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::generators::path;
 use dispersion_graphs::walk::{step, WalkKind};
-use dispersion_sim::experiment::{dispersion_samples, Process};
-use dispersion_sim::parallel::par_samples;
+use dispersion_sim::experiment::Process;
+use dispersion_sim::parallel::par_trials;
+use dispersion_sim::spec::Measure;
 use dispersion_sim::stats::Summary;
 use dispersion_sim::table::{fmt_f, TextTable};
 
@@ -53,25 +54,15 @@ fn main() {
     for (k, &n) in sizes.iter().enumerate() {
         let g = path(n);
         let s0 = opts.seed + 10 * k as u64;
-        let seq = Summary::from_samples(&dispersion_samples(
-            &g,
-            0,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0,
-        ));
-        let par = Summary::from_samples(&dispersion_samples(
-            &g,
-            0,
-            Process::Parallel,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 1,
-        ));
-        let m = Summary::from_samples(&par_samples(
+        let summary = |p: Process, seed: u64| {
+            let cols = Measure::Dispersion(p)
+                .samples(&g, 0, &cfg, opts.trials, opts.threads, seed)
+                .unwrap_or_else(|e| panic!("{e}"));
+            Summary::from_samples(&cols[0])
+        };
+        let seq = summary(Process::Sequential, s0);
+        let par = summary(Process::Parallel, s0 + 1);
+        let m = Summary::from_samples(&par_trials(
             opts.trials.min(60),
             opts.threads,
             s0 + 2,

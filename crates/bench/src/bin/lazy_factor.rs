@@ -8,8 +8,10 @@
 use dispersion_bench::Options;
 use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::families::Family;
-use dispersion_sim::experiment::{estimate_dispersion, Process};
+use dispersion_sim::experiment::Process;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
+use dispersion_sim::spec::Measure;
+use dispersion_sim::stats::Summary;
 use dispersion_sim::table::{fmt_f, TextTable};
 
 fn main() {
@@ -25,42 +27,16 @@ fn main() {
             let inst = family.instance(n, &mut grng);
             let g = &inst.graph;
             let s0 = opts.seed + (fk * 1000 + k * 10) as u64;
-            let seq_s = estimate_dispersion(
-                g,
-                inst.origin,
-                Process::Sequential,
-                &ProcessConfig::simple(),
-                opts.trials,
-                opts.threads,
-                s0,
-            );
-            let seq_l = estimate_dispersion(
-                g,
-                inst.origin,
-                Process::Sequential,
-                &ProcessConfig::lazy(),
-                opts.trials,
-                opts.threads,
-                s0 + 1,
-            );
-            let par_s = estimate_dispersion(
-                g,
-                inst.origin,
-                Process::Parallel,
-                &ProcessConfig::simple(),
-                opts.trials,
-                opts.threads,
-                s0 + 2,
-            );
-            let par_l = estimate_dispersion(
-                g,
-                inst.origin,
-                Process::Parallel,
-                &ProcessConfig::lazy(),
-                opts.trials,
-                opts.threads,
-                s0 + 3,
-            );
+            let summary = |p: Process, cfg: ProcessConfig, seed: u64| {
+                let cols = Measure::Dispersion(p)
+                    .samples(g, inst.origin, &cfg, opts.trials, opts.threads, seed)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                Summary::from_samples(&cols[0])
+            };
+            let seq_s = summary(Process::Sequential, ProcessConfig::simple(), s0);
+            let seq_l = summary(Process::Sequential, ProcessConfig::lazy(), s0 + 1);
+            let par_s = summary(Process::Parallel, ProcessConfig::simple(), s0 + 2);
+            let par_l = summary(Process::Parallel, ProcessConfig::lazy(), s0 + 3);
             t.push_row([
                 inst.label.to_string(),
                 g.n().to_string(),

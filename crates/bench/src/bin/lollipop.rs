@@ -12,7 +12,7 @@ use dispersion_core::process::sequential::run_sequential;
 use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::generators::lollipop;
 use dispersion_sim::fit::fit_power;
-use dispersion_sim::parallel::par_samples;
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::stats::Summary;
 use dispersion_sim::table::{fmt_f, TextTable};
 
@@ -27,7 +27,7 @@ fn main() {
     let mut means = Vec::new();
     for (k, &n) in sizes.iter().enumerate() {
         let (g, origin, _, _) = lollipop(n);
-        let samples = par_samples(opts.trials, opts.threads, opts.seed + k as u64, |_, rng| {
+        let samples = par_trials(opts.trials, opts.threads, opts.seed + k as u64, |_, rng| {
             run_sequential(&g, origin, &cfg, rng)
                 .unwrap()
                 .dispersion_time as f64

@@ -1,7 +1,7 @@
 //! Scheduling-overhead baseline for the spec/runner pipeline: runs the
-//! same clique n=1024 Monte-Carlo cells twice — once through the legacy
-//! direct loop (`estimate_dispersion`, two-pass statistics over a
-//! materialised sample vector) and once as a spec through the streaming
+//! same clique n=1024 Monte-Carlo cells twice — once as a direct loop
+//! (`Measure::samples` into a materialised sample vector, then two-pass
+//! `Summary` statistics) and once as a spec through the streaming
 //! runner — with identical per-trial seeds, and reports the wall-clock
 //! delta. The trials are the *same realizations*, so any gap is pure
 //! scheduling + one-pass-statistics overhead; the committed baseline in
@@ -13,14 +13,32 @@
 //! ```
 
 use dispersion_bench::Options;
+use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::families::Family;
 use dispersion_graphs::generators::complete;
-use dispersion_sim::experiment::{estimate_dispersion, Process};
+use dispersion_sim::experiment::Process;
 use dispersion_sim::runner::Runner;
 use dispersion_sim::sink::MemorySink;
 use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
+use dispersion_sim::stats::Summary;
 use dispersion_sim::table::{fmt_f, TextTable};
 use std::time::Instant;
+
+/// The direct path: `trials` dispersion samples of `p` on `K_n`, summarised
+/// two-pass.
+fn direct_summary(
+    n: usize,
+    p: Process,
+    cfg: &ProcessConfig,
+    trials: usize,
+    threads: usize,
+    seed: u64,
+) -> Summary {
+    let cols = Measure::Dispersion(p)
+        .samples(&complete(n), 0, cfg, trials, threads, seed)
+        .unwrap_or_else(|e| panic!("{e}"));
+    Summary::from_samples(&cols[0])
+}
 
 fn main() {
     let opts = Options::from_env();
@@ -34,20 +52,12 @@ fn main() {
         512
     };
     let processes = [Process::Sequential, Process::Parallel];
-    let cfg = dispersion_core::process::ProcessConfig::simple();
+    let cfg = ProcessConfig::simple();
 
     // warm-up: fault the binary in and exercise both paths once
-    let _ = estimate_dispersion(
-        &complete(n),
-        0,
-        Process::Sequential,
-        &cfg,
-        4,
-        opts.threads,
-        0,
-    );
+    let _ = direct_summary(n, Process::Sequential, &cfg, 4, opts.threads, 0);
 
-    // legacy loop: one (instance build + estimate_dispersion) per cell,
+    // direct loop: one (instance build + Measure::samples) per cell,
     // exactly what the pre-runner binaries hand-rolled per sweep point —
     // the runner also resolves each cell's instance, so builds are at
     // parity and the delta is pure scheduling + statistics overhead.
@@ -61,10 +71,7 @@ fn main() {
         legacy = processes
             .iter()
             .enumerate()
-            .map(|(k, &p)| {
-                let g = complete(n);
-                estimate_dispersion(&g, 0, p, &cfg, trials, opts.threads, opts.seed + k as u64)
-            })
+            .map(|(k, &p)| direct_summary(n, p, &cfg, trials, opts.threads, opts.seed + k as u64))
             .collect();
         legacy_secs = legacy_secs.min(t0.elapsed().as_secs_f64());
     }

@@ -15,7 +15,9 @@
 //! generalized stopping), and composable [`engine::Observer`]s stream
 //! statistics (dispersion times, realization blocks, aggregate shapes,
 //! Theorem 3.3/3.5 phase boundaries) out of the run without materialising
-//! per-step state. The historical entry points are thin wrappers:
+//! per-step state. [`process::Process`] is the one dispatch from a schedule
+//! name to an engine run ([`process::Process::run_observed`]); the
+//! historical entry points are thin wrappers over it or the engine:
 //!
 //! * [`process::sequential::run_sequential`] — one particle at a time,
 //! * [`process::parallel::run_parallel`] — all unsettled particles step each

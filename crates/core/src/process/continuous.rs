@@ -15,11 +15,11 @@
 //! The walk/settle loop lives in [`crate::engine`]; this module is the
 //! schedule-specific entry point kept for API compatibility.
 
-use crate::engine::schedule::{Ctu, CtuClocks};
+use crate::engine::observer::TrajectoryBlock;
+use crate::engine::schedule::CtuClocks;
 use crate::engine::{self, EngineConfig, EngineError, FirstVacant};
 use crate::outcome::DispersionOutcome;
-use crate::process::sequential::run_sequential;
-use crate::process::ProcessConfig;
+use crate::process::{Process, ProcessConfig};
 use dispersion_graphs::{Topology, Vertex};
 use rand::{Rng, RngExt};
 
@@ -79,8 +79,7 @@ pub fn run_ctu<T: Topology + ?Sized, R: Rng + ?Sized>(
     cfg: &ProcessConfig,
     rng: &mut R,
 ) -> Result<ContinuousOutcome, EngineError> {
-    let ecfg = EngineConfig::full(g, origin, cfg);
-    let out = engine::run(g, &mut Ctu::new(), &FirstVacant, &ecfg, &mut (), rng)?;
+    let out = Process::Ctu.run_observed(g, origin, cfg, &mut (), rng)?;
     let outcome = DispersionOutcome::new(origin, out.steps, out.settled_at, None);
     Ok(ContinuousOutcome {
         outcome,
@@ -134,15 +133,17 @@ pub fn run_continuous_sequential<T: Topology + ?Sized, R: Rng + ?Sized>(
     cfg: &ProcessConfig,
     rng: &mut R,
 ) -> Result<ContinuousOutcome, EngineError> {
-    let outcome = run_sequential(g, origin, cfg, rng)?;
-    let settle_time = outcome
-        .steps
-        .iter()
-        .map(|&rho| sample_gamma_int(rho, rng))
-        .fold(0.0, f64::max);
+    let mut traj = cfg.record_trajectories.then(TrajectoryBlock::new);
+    let out = Process::ContinuousSequential.run_observed(g, origin, cfg, &mut traj, rng)?;
+    let outcome = DispersionOutcome::new(
+        origin,
+        out.steps,
+        out.settled_at,
+        traj.map(TrajectoryBlock::into_block),
+    );
     Ok(ContinuousOutcome {
         outcome,
-        settle_time,
+        settle_time: out.time,
     })
 }
 

@@ -9,10 +9,9 @@
 //! schedule-specific entry point kept for API compatibility.
 
 use crate::engine::observer::TrajectoryBlock;
-use crate::engine::schedule::Sequential;
-use crate::engine::{self, EngineConfig, EngineError, FirstVacant};
+use crate::engine::EngineError;
 use crate::outcome::DispersionOutcome;
-use crate::process::ProcessConfig;
+use crate::process::{Process, ProcessConfig};
 use dispersion_graphs::{Topology, Vertex};
 use rand::Rng;
 
@@ -36,16 +35,8 @@ pub fn run_sequential<T: Topology + ?Sized, R: Rng + ?Sized>(
     cfg: &ProcessConfig,
     rng: &mut R,
 ) -> Result<DispersionOutcome, EngineError> {
-    let ecfg = EngineConfig::full(g, origin, cfg);
     let mut traj = cfg.record_trajectories.then(TrajectoryBlock::new);
-    let out = engine::run(
-        g,
-        &mut Sequential::new(),
-        &FirstVacant,
-        &ecfg,
-        &mut traj,
-        rng,
-    )?;
+    let out = Process::Sequential.run_observed(g, origin, cfg, &mut traj, rng)?;
     Ok(DispersionOutcome::new(
         origin,
         out.steps,

@@ -10,19 +10,20 @@
 //! The walk/settle loop lives in [`crate::engine`]; this module is the
 //! schedule-specific entry point kept for API compatibility.
 //!
-//! Plain runs use the event-driven [`Uniform`] schedule, which samples the
-//! geometric no-op gap instead of simulating `Θ(n · t_par)` no-op ticks —
-//! same law, same tick semantics (`settle_tick` counts skipped ticks).
+//! Plain runs use the event-driven [`crate::engine::schedule::Uniform`]
+//! schedule (via [`Process::Uniform`]), which samples the geometric no-op
+//! gap instead of simulating `Θ(n · t_par)` no-op ticks — same law, same
+//! tick semantics (`settle_tick` counts skipped ticks).
 //! Recording runs use the tick-loop [`UniformTicks`] schedule, because the
 //! realized schedule `R_t` they return contains the identity of every
 //! no-op draw and is `Θ(ticks)` to materialise anyway.
 
 use crate::block::algorithms::TimedBlock;
 use crate::engine::observer::TrajectoryBlock;
-use crate::engine::schedule::{Uniform, UniformTicks};
+use crate::engine::schedule::UniformTicks;
 use crate::engine::{self, EngineConfig, EngineError, FirstVacant};
 use crate::outcome::DispersionOutcome;
-use crate::process::ProcessConfig;
+use crate::process::{Process, ProcessConfig};
 use dispersion_graphs::{Topology, Vertex};
 use rand::Rng;
 
@@ -61,26 +62,18 @@ pub fn run_uniform<T: Topology + ?Sized, R: Rng + ?Sized>(
     cfg: &ProcessConfig,
     rng: &mut R,
 ) -> Result<UniformOutcome, EngineError> {
-    let ecfg = EngineConfig::full(g, origin, cfg);
     let mut traj = cfg.record_trajectories.then(TrajectoryBlock::with_timing);
     let out = if cfg.record_trajectories {
         engine::run(
             g,
             &mut UniformTicks::new(g.n()),
             &FirstVacant,
-            &ecfg,
+            &EngineConfig::full(g, origin, cfg),
             &mut traj,
             rng,
         )?
     } else {
-        engine::run(
-            g,
-            &mut Uniform::new(g.n()),
-            &FirstVacant,
-            &ecfg,
-            &mut traj,
-            rng,
-        )?
+        Process::Uniform.run_observed(g, origin, cfg, &mut traj, rng)?
     };
     let (block, timed, schedule) = match traj {
         Some(t) => {

@@ -299,6 +299,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                             if b.get(*pos) == Some(&b'\\') && b.get(*pos + 1) == Some(&b'u') {
                                 *pos += 2;
                                 let lo = parse_hex4(b, pos)?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err("high surrogate without a low surrogate".into());
+                                }
                                 let c = 0x10000 + ((hex - 0xD800) << 10) + (lo - 0xDC00);
                                 out.push(char::from_u32(c).ok_or("bad surrogate pair")?);
                             } else {
@@ -312,11 +315,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // consume one UTF-8 scalar
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // copy the run of plain bytes up to the next `"` or `\`:
+                // neither byte occurs inside a multi-byte UTF-8 scalar, so
+                // the run is whole scalars and each byte is checked once
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -352,6 +358,41 @@ mod tests {
                 Json::Arr(vec![Json::Num(1.0), Json::Str("é🦀".into())])
             )])
         );
+    }
+
+    #[test]
+    fn high_surrogate_needs_a_low_surrogate() {
+        // a high surrogate followed by a plain scalar, a non-surrogate and
+        // another high surrogate; then a lone low surrogate
+        assert!(Json::parse("\"\\ud800\\u0041\"").is_err());
+        assert!(Json::parse("\"\\ud800\\ue000\"").is_err());
+        assert!(Json::parse("\"\\ud800\\ud800\"").is_err());
+        assert!(Json::parse("\"\\udc00\"").is_err());
+        assert_eq!(
+            Json::parse("\"\\ud800\\udc00\"").unwrap(),
+            Json::Str("\u{10000}".into())
+        );
+    }
+
+    #[test]
+    fn multibyte_scalars_next_to_escapes() {
+        // 2-, 3- and 4-byte scalars on both sides of every escape kind
+        let src = "\"é\\n€\\t🦀\\\"é\\\\€\\u00e9🦀\\/\"";
+        assert_eq!(
+            Json::parse(src).unwrap(),
+            Json::Str("é\n€\t🦀\"é\\€é🦀/".into())
+        );
+        for s in ["é", "€", "🦀", "a€b", "\"\\"] {
+            assert_eq!(Json::parse(&fmt_str(s)).unwrap(), Json::Str(s.into()));
+        }
+    }
+
+    #[test]
+    fn long_string_decodes_in_linear_time() {
+        // quadratic decoding took tens of minutes on a value this long
+        let value = "ab€🦀".repeat((8 << 20) / 9);
+        let parsed = Json::parse(&fmt_str(&value)).unwrap();
+        assert_eq!(parsed, Json::Str(value));
     }
 
     #[test]

@@ -804,35 +804,42 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_estimate_dispersion() {
-        use crate::experiment::estimate_dispersion;
+    fn runner_records_match_measure_samples() {
+        use crate::stats::Summary;
         use dispersion_graphs::generators::complete;
         let g = complete(64);
-        let legacy = estimate_dispersion(
-            &g,
-            0,
-            Process::Sequential,
-            &ProcessConfig::simple(),
-            40,
-            4,
-            123,
-        );
-        let mut spec = ExperimentSpec::new(0);
-        spec.push(
-            CellSpec::new(
-                FamilySpec::explicit(Family::Complete, 64),
-                Measure::Dispersion(Process::Sequential),
-            )
-            .budget(Budget::Trials(40))
-            .master_seed(123),
-        );
-        let r = Runner::new(4).run(&spec, &[], &mut MemorySink::default());
-        let s = r[0].stat("time").unwrap();
-        // same trials, same per-trial seeds; one-pass vs two-pass moments
-        assert!((s.mean - legacy.mean).abs() <= 1e-12 * legacy.mean.abs());
-        assert!((s.var - legacy.var).abs() <= 1e-9 * legacy.var.abs());
-        assert_eq!(s.min, legacy.min);
-        assert_eq!(s.max, legacy.max);
+        let cfg = ProcessConfig::simple();
+        for m in [
+            Measure::Dispersion(Process::Sequential),
+            Measure::Dispersion(Process::Parallel),
+            Measure::TotalSteps(Process::Parallel),
+            Measure::ParallelWithHalf,
+        ] {
+            let mut spec = ExperimentSpec::new(0);
+            spec.push(
+                CellSpec::new(FamilySpec::explicit(Family::Complete, 64), m)
+                    .budget(Budget::Trials(40))
+                    .master_seed(123),
+            );
+            let r = Runner::new(4).run(&spec, &[], &mut MemorySink::default());
+            let cols = m.samples(&g, 0, &cfg, 40, 4, spec.master_seed(0)).unwrap();
+            assert_eq!(r[0].trials, 40, "{m:?}");
+            for (name, col) in m.stat_names().iter().zip(&cols) {
+                assert_eq!(col.len(), 40, "{m:?} {name}");
+                let legacy = Summary::from_samples(col);
+                let s = r[0].stat(name).unwrap();
+                // same trials, same per-trial seeds; one-pass vs two-pass moments
+                assert!(
+                    (s.mean - legacy.mean).abs() <= 1e-12 * legacy.mean.abs(),
+                    "{m:?} {name}: {} vs {}",
+                    s.mean,
+                    legacy.mean
+                );
+                assert!((s.var - legacy.var).abs() <= 1e-9 * legacy.var.abs());
+                assert_eq!(s.min, legacy.min, "{m:?} {name}");
+                assert_eq!(s.max, legacy.max, "{m:?} {name}");
+            }
+        }
     }
 
     #[test]

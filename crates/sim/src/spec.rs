@@ -18,11 +18,11 @@
 //! so results are bit-identical for any thread count, and legacy binaries
 //! can pin their historical per-sweep seeds cell by cell.
 
-use crate::experiment::Process;
+use crate::parallel::par_trials;
 use crate::rng::splitmix64;
 use dispersion_core::engine::observer::{AggregateShape, DispersionTime, PhaseTimes};
 use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVacant};
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::process::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::topology::Implicit;
 use dispersion_graphs::{Graph, Topology, Vertex};
@@ -273,8 +273,14 @@ impl Measure {
         with_resolved_topology!(&cell.topo, t => self.run_on(t, cell.origin, cfg, out, rng))
     }
 
-    /// The generic trial body, monomorphised per backend.
-    fn run_on<T: Topology + ?Sized, R: Rng + ?Sized>(
+    /// The generic trial body, monomorphised per backend: what
+    /// [`Measure::run_trial`] runs after resolving the cell's backend, on
+    /// any [`Topology`] the caller already holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Measure::run_trial`].
+    pub fn run_on<T: Topology + ?Sized, R: Rng + ?Sized>(
         &self,
         g: &T,
         origin: Vertex,
@@ -346,6 +352,39 @@ impl Measure {
             }
         };
         Ok(steps)
+    }
+
+    /// Draws `trials` trials of this measure on `g` from `origin` across
+    /// `threads` workers and returns the raw samples: one column per
+    /// [`Measure::stat_names`] entry, in trial order. Trial `i` draws from
+    /// `Xoshiro256pp::new(trial_seed(seed, i))`, as in a cell whose master
+    /// seed is `seed`, so the result does not depend on `threads`.
+    ///
+    /// # Errors
+    ///
+    /// The error of the lowest-index failing trial; no worker thread ever
+    /// panics mid-trial.
+    pub fn samples<T: Topology + Sync + ?Sized>(
+        &self,
+        g: &T,
+        origin: Vertex,
+        cfg: &ProcessConfig,
+        trials: usize,
+        threads: usize,
+        seed: u64,
+    ) -> Result<Vec<Vec<f64>>, CellError> {
+        let arity = self.stat_names().len();
+        let rows = par_trials(trials, threads, seed, |_, rng| {
+            let mut row = vec![0.0; arity];
+            self.run_on(g, origin, cfg, &mut row, rng).map(|_| row)
+        });
+        let mut cols: Vec<Vec<f64>> = (0..arity).map(|_| Vec::with_capacity(trials)).collect();
+        for row in rows {
+            for (col, x) in cols.iter_mut().zip(row?) {
+                col.push(x);
+            }
+        }
+        Ok(cols)
     }
 }
 
@@ -713,6 +752,76 @@ mod tests {
         ));
         assert_ne!(spec.cell_key(a), spec.cell_key(b));
         assert!(spec.cell_key(a).contains("cycle:n32:seq:explicit:t100"));
+    }
+
+    #[test]
+    fn samples_deterministic_across_thread_counts() {
+        let g = dispersion_graphs::generators::cycle(16);
+        let cfg = ProcessConfig::simple();
+        for m in [
+            Measure::Dispersion(Process::Parallel),
+            Measure::ParallelWithHalf,
+        ] {
+            let a = m.samples(&g, 0, &cfg, 50, 2, 42).unwrap();
+            let b = m.samples(&g, 0, &cfg, 50, 8, 42).unwrap();
+            assert_eq!(a, b, "{m:?}");
+            assert_eq!(a.len(), m.stat_names().len());
+            assert!(a.iter().all(|col| col.len() == 50));
+        }
+    }
+
+    #[test]
+    fn samples_return_the_lowest_index_error() {
+        let g = dispersion_graphs::generators::cycle(16);
+        let m = Measure::TotalSteps(Process::Parallel);
+        // a cap at the median total: some trials finish, some overrun, and
+        // each overrun reports its own unsettled count
+        let mut totals = m
+            .samples(&g, 0, &ProcessConfig::simple(), 32, 1, 7)
+            .unwrap()
+            .remove(0);
+        totals.sort_by(f64::total_cmp);
+        let cfg = ProcessConfig::simple().with_cap(totals[16] as u64);
+        let serial =
+            crate::parallel::par_trials(32, 1, 7, |_, rng| m.run_on(&g, 0, &cfg, &mut [0.0], rng));
+        assert!(serial.iter().any(Result::is_ok));
+        let first = serial.into_iter().find_map(Result::err).unwrap();
+        for threads in [1, 4] {
+            assert_eq!(m.samples(&g, 0, &cfg, 32, threads, 7), Err(first.clone()));
+        }
+        assert!(matches!(
+            first,
+            CellError::Engine(EngineError::StepCapExceeded { .. })
+        ));
+    }
+
+    #[test]
+    fn theorem_4_1_statistics_on_cycle() {
+        use crate::dominance::{consistent_with_dominance, ks_p_value};
+        let g = dispersion_graphs::generators::cycle(24);
+        let cfg = ProcessConfig::simple();
+        let draw = |m: Measure, seed| m.samples(&g, 0, &cfg, 800, 4, seed).unwrap().remove(0);
+        let seq = draw(Measure::Dispersion(Process::Sequential), 3);
+        let par = draw(Measure::Dispersion(Process::Parallel), 4);
+        // stochastic dominance τ_seq ⪯ τ_par up to sampling noise
+        assert!(consistent_with_dominance(&seq, &par, 0.08));
+        // total steps equidistributed
+        let ts = draw(Measure::TotalSteps(Process::Sequential), 5);
+        let tp = draw(Measure::TotalSteps(Process::Parallel), 6);
+        let p = ks_p_value(&ts, &tp);
+        assert!(p > 0.001, "total-steps KS p-value {p}");
+    }
+
+    #[test]
+    fn half_milestone_precedes_dispersion() {
+        let g = dispersion_graphs::generators::complete(64);
+        let cols = Measure::ParallelWithHalf
+            .samples(&g, 0, &ProcessConfig::simple(), 20, 4, 9)
+            .unwrap();
+        // the half-settled round can never come after the last settle
+        for (time, half) in cols[0].iter().zip(&cols[1]) {
+            assert!(half <= time, "t_half {half} > time {time}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use dispersion_core::process::sequential::run_sequential;
 use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::generators::random_regular_connected;
 use dispersion_sim::dominance::ks_p_value;
-use dispersion_sim::parallel::par_samples;
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::stats::Summary;
 use dispersion_sim::Xoshiro256pp;
 
@@ -38,20 +38,20 @@ fn main() {
         "cluster: random {degree}-regular network on {machines} machines, all jobs start at node 0\n"
     );
 
-    let seq_disp = par_samples(trials, 0, 21, |_, rng| {
+    let seq_disp = par_trials(trials, 0, 21, |_, rng| {
         run_sequential(&cluster, 0, &cfg, rng)
             .unwrap()
             .dispersion_time as f64
     });
-    let par_disp = par_samples(trials, 0, 22, |_, rng| {
+    let par_disp = par_trials(trials, 0, 22, |_, rng| {
         run_parallel(&cluster, 0, &cfg, rng)
             .unwrap()
             .dispersion_time as f64
     });
-    let seq_traffic = par_samples(trials, 0, 23, |_, rng| {
+    let seq_traffic = par_trials(trials, 0, 23, |_, rng| {
         run_sequential(&cluster, 0, &cfg, rng).unwrap().total_steps as f64
     });
-    let par_traffic = par_samples(trials, 0, 24, |_, rng| {
+    let par_traffic = par_trials(trials, 0, 24, |_, rng| {
         run_parallel(&cluster, 0, &cfg, rng).unwrap().total_steps as f64
     });
 

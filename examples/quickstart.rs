@@ -12,8 +12,8 @@ use dispersion_core::process::sequential::run_sequential;
 use dispersion_core::process::uniform::run_uniform;
 use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::generators::complete;
-use dispersion_sim::experiment::{estimate_dispersion, Process};
-use dispersion_sim::Xoshiro256pp;
+use dispersion_sim::experiment::Process;
+use dispersion_sim::{Measure, Summary, Xoshiro256pp};
 
 fn main() {
     let n = 256;
@@ -48,13 +48,19 @@ fn main() {
 
     // --- Monte-Carlo estimates against the paper's Theorem 5.2 ---
     println!("\nMonte-Carlo means over 200 trials (Theorem 5.2 predictions):");
-    let s = estimate_dispersion(&g, origin, Process::Sequential, &cfg, 200, 0, 7);
+    let estimate = |p: Process, seed: u64| {
+        let cols = Measure::Dispersion(p)
+            .samples(&g, origin, &cfg, 200, 0, seed)
+            .unwrap();
+        Summary::from_samples(&cols[0])
+    };
+    let s = estimate(Process::Sequential, 7);
     println!(
         "  t_seq/n = {:.3}   (paper: κ_cc  = {:.3})",
         s.mean / n as f64,
         kappa_cc_default()
     );
-    let p = estimate_dispersion(&g, origin, Process::Parallel, &cfg, 200, 0, 8);
+    let p = estimate(Process::Parallel, 8);
     println!(
         "  t_par/n = {:.3}   (paper: π²/6 = {:.3})",
         p.mean / n as f64,

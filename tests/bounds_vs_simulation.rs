@@ -7,11 +7,19 @@ use dispersion_repro::bounds::upper::{
     cor32_general, cor32_regular, thm31_whp_threshold, thm33_spectral, thm35_spectral,
 };
 use dispersion_repro::core::process::ProcessConfig;
-use dispersion_repro::graphs::families::Family;
+use dispersion_repro::graphs::families::{Family, Instance};
 use dispersion_repro::graphs::traversal::is_tree;
 use dispersion_repro::markov::transition::WalkKind;
-use dispersion_repro::sim::experiment::{dispersion_samples, Process};
+use dispersion_repro::sim::experiment::Process;
+use dispersion_repro::sim::Measure;
 use dispersion_repro::sim::Xoshiro256pp;
+
+/// `trials` single-threaded samples of `m`'s first statistic on `inst`.
+fn sample(m: Measure, inst: &Instance, cfg: &ProcessConfig, trials: usize, seed: u64) -> Vec<f64> {
+    m.samples(&inst.graph, inst.origin, cfg, trials, 0, seed)
+        .unwrap()
+        .remove(0)
+}
 
 const TRIALS: usize = 150;
 
@@ -32,13 +40,11 @@ fn theorem_3_1_upper_bound_rarely_exceeded() {
         let mut grng = Xoshiro256pp::new(k as u64);
         let inst = family.instance(32, &mut grng);
         let threshold = thm31_whp_threshold(&inst.graph, WalkKind::Simple);
-        let par = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
+        let par = sample(
+            Measure::Dispersion(Process::Parallel),
+            &inst,
             &cfg,
             TRIALS,
-            0,
             70 + k as u64,
         );
         let exceed = par.iter().filter(|&&x| x > threshold).count();
@@ -57,22 +63,18 @@ fn theorems_3_3_and_3_5_dominate_lazy_dispersion() {
     for (k, family) in families().into_iter().enumerate() {
         let mut grng = Xoshiro256pp::new(10 + k as u64);
         let inst = family.instance(32, &mut grng);
-        let par = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
+        let par = sample(
+            Measure::Dispersion(Process::Parallel),
+            &inst,
             &lazy,
             TRIALS,
-            0,
             90 + k as u64,
         );
-        let seq = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
+        let seq = sample(
+            Measure::Dispersion(Process::Sequential),
+            &inst,
             &lazy,
             TRIALS,
-            0,
             95 + k as u64,
         );
         let max_par = par.iter().copied().fold(0.0f64, f64::max);
@@ -99,13 +101,11 @@ fn corollary_3_2_worst_case_envelopes() {
         let mut grng = Xoshiro256pp::new(20 + k as u64);
         let inst = family.instance(32, &mut grng);
         let n = inst.graph.n();
-        let par = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
+        let par = sample(
+            Measure::Dispersion(Process::Parallel),
+            &inst,
             &cfg,
             TRIALS,
-            0,
             120 + k as u64,
         );
         let max_par = par.iter().copied().fold(0.0f64, f64::max);
@@ -122,13 +122,11 @@ fn theorem_3_6_lower_bound() {
     for (k, family) in families().into_iter().enumerate() {
         let mut grng = Xoshiro256pp::new(30 + k as u64);
         let inst = family.instance(48, &mut grng);
-        let seq = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
+        let seq = sample(
+            Measure::Dispersion(Process::Sequential),
+            &inst,
             &cfg,
             TRIALS,
-            0,
             150 + k as u64,
         );
         let mean = seq.iter().sum::<f64>() / seq.len() as f64;
@@ -149,13 +147,11 @@ fn theorem_3_7_tree_lower_bound() {
         let mut grng = Xoshiro256pp::new(40 + k as u64);
         let inst = family.instance(31, &mut grng);
         assert!(is_tree(&inst.graph));
-        let seq = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
+        let seq = sample(
+            Measure::Dispersion(Process::Sequential),
+            &inst,
             &cfg,
             300,
-            0,
             170 + k as u64,
         );
         let mean = seq.iter().sum::<f64>() / seq.len() as f64;
@@ -174,13 +170,11 @@ fn proposition_3_9_mixing_lower_bound() {
     // the cycle is the natural witness: t_mix = Θ(n²) and t_seq = Θ(n² log n)
     let mut grng = Xoshiro256pp::new(50);
     let inst = Family::Cycle.instance(32, &mut grng);
-    let seq = dispersion_samples(
-        &inst.graph,
-        inst.origin,
-        Process::Sequential,
+    let seq = sample(
+        Measure::Dispersion(Process::Sequential),
+        &inst,
         &lazy,
         TRIALS,
-        0,
         190,
     );
     let mean = seq.iter().sum::<f64>() / seq.len() as f64;

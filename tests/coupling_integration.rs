@@ -11,11 +11,19 @@ use dispersion_repro::core::block::{
 use dispersion_repro::core::process::parallel::run_parallel;
 use dispersion_repro::core::process::sequential::run_sequential;
 use dispersion_repro::core::process::ProcessConfig;
-use dispersion_repro::graphs::families::Family;
+use dispersion_repro::graphs::families::{Family, Instance};
 use dispersion_repro::sim::dominance::{dominance_violation, ks_p_value};
-use dispersion_repro::sim::experiment::{dispersion_samples, total_steps_samples, Process};
+use dispersion_repro::sim::experiment::Process;
+use dispersion_repro::sim::Measure;
 use dispersion_repro::sim::Xoshiro256pp;
 use rand::RngExt;
+
+/// `trials` single-threaded samples of `m`'s first statistic on `inst`.
+fn sample(m: Measure, inst: &Instance, cfg: &ProcessConfig, trials: usize, seed: u64) -> Vec<f64> {
+    m.samples(&inst.graph, inst.origin, cfg, trials, 0, seed)
+        .unwrap()
+        .remove(0)
+}
 
 fn test_families() -> Vec<Family> {
     vec![
@@ -109,22 +117,18 @@ fn theorem_4_1_dominance_and_total_steps() {
         let mut grng = Xoshiro256pp::new(300 + k as u64);
         let inst = family.instance(32, &mut grng);
         let s0 = 400 + 10 * k as u64;
-        let seq = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
+        let seq = sample(
+            Measure::Dispersion(Process::Sequential),
+            &inst,
             &cfg,
             400,
-            0,
             s0,
         );
-        let par = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
+        let par = sample(
+            Measure::Dispersion(Process::Parallel),
+            &inst,
             &cfg,
             400,
-            0,
             s0 + 1,
         );
         assert!(
@@ -132,22 +136,18 @@ fn theorem_4_1_dominance_and_total_steps() {
             "{}: seq not dominated by par",
             inst.label
         );
-        let ts = total_steps_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
+        let ts = sample(
+            Measure::TotalSteps(Process::Sequential),
+            &inst,
             &cfg,
             400,
-            0,
             s0 + 2,
         );
-        let tp = total_steps_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
+        let tp = sample(
+            Measure::TotalSteps(Process::Parallel),
+            &inst,
             &cfg,
             400,
-            0,
             s0 + 3,
         );
         let p = ks_p_value(&ts, &tp);

@@ -5,18 +5,35 @@ use dispersion_repro::bounds::constants::{kappa_cc_default, PI2_OVER_6};
 use dispersion_repro::core::process::ProcessConfig;
 use dispersion_repro::graphs::families::Family;
 use dispersion_repro::graphs::generators::{complete, cycle, hypercube};
-use dispersion_repro::sim::experiment::{estimate_dispersion, Process};
-use dispersion_repro::sim::Xoshiro256pp;
+use dispersion_repro::graphs::{Topology, Vertex};
+use dispersion_repro::sim::experiment::Process;
+use dispersion_repro::sim::{Measure, Summary, Xoshiro256pp};
 
 const SEED: u64 = 0xD15;
+
+/// Dispersion-time summary of `p` on `g` over `trials` single-threaded
+/// trials.
+fn estimate<T: Topology + Sync + ?Sized>(
+    g: &T,
+    origin: Vertex,
+    p: Process,
+    cfg: &ProcessConfig,
+    trials: usize,
+    seed: u64,
+) -> Summary {
+    let cols = Measure::Dispersion(p)
+        .samples(g, origin, cfg, trials, 0, seed)
+        .unwrap();
+    Summary::from_samples(&cols[0])
+}
 
 #[test]
 fn clique_constants_near_kappa_cc_and_pi2_over_6() {
     let n = 192usize;
     let g = complete(n);
     let cfg = ProcessConfig::simple();
-    let seq = estimate_dispersion(&g, 0, Process::Sequential, &cfg, 400, 0, SEED);
-    let par = estimate_dispersion(&g, 0, Process::Parallel, &cfg, 400, 0, SEED + 1);
+    let seq = estimate(&g, 0, Process::Sequential, &cfg, 400, SEED);
+    let par = estimate(&g, 0, Process::Parallel, &cfg, 400, SEED + 1);
     let seq_c = seq.mean / n as f64;
     let par_c = par.mean / n as f64;
     // generous windows: finite-n effects + sampling noise
@@ -38,8 +55,8 @@ fn clique_constants_near_kappa_cc_and_pi2_over_6() {
 fn linear_families_scale_linearly() {
     // hypercube and expander rows: t(2n)/t(n) ≈ 2
     let cfg = ProcessConfig::simple();
-    let small = estimate_dispersion(&hypercube(5), 0, Process::Parallel, &cfg, 200, 0, SEED + 2);
-    let big = estimate_dispersion(&hypercube(6), 0, Process::Parallel, &cfg, 200, 0, SEED + 3);
+    let small = estimate(&hypercube(5), 0, Process::Parallel, &cfg, 200, SEED + 2);
+    let big = estimate(&hypercube(6), 0, Process::Parallel, &cfg, 200, SEED + 3);
     let ratio = big.mean / small.mean;
     assert!(
         (1.5..3.0).contains(&ratio),
@@ -51,8 +68,8 @@ fn linear_families_scale_linearly() {
 fn cycle_scales_superquadratically() {
     // cycle row: t(2n)/t(n) ≈ 4·(log 2n / log n) > 4
     let cfg = ProcessConfig::simple();
-    let small = estimate_dispersion(&cycle(24), 0, Process::Sequential, &cfg, 200, 0, SEED + 4);
-    let big = estimate_dispersion(&cycle(48), 0, Process::Sequential, &cfg, 200, 0, SEED + 5);
+    let small = estimate(&cycle(24), 0, Process::Sequential, &cfg, 200, SEED + 4);
+    let big = estimate(&cycle(48), 0, Process::Sequential, &cfg, 200, SEED + 5);
     let ratio = big.mean / small.mean;
     assert!(ratio > 3.2, "cycle doubling ratio {ratio}");
 }
@@ -65,31 +82,28 @@ fn who_wins_ordering_at_fixed_n() {
     let clique = Family::Complete.instance(64, &mut grng);
     let btree = Family::BinaryTree.instance(63, &mut grng);
     let cyc = Family::Cycle.instance(64, &mut grng);
-    let t_clique = estimate_dispersion(
+    let t_clique = estimate(
         &clique.graph,
         clique.origin,
         Process::Parallel,
         &cfg,
         150,
-        0,
         SEED + 6,
     );
-    let t_btree = estimate_dispersion(
+    let t_btree = estimate(
         &btree.graph,
         btree.origin,
         Process::Parallel,
         &cfg,
         150,
-        0,
         SEED + 7,
     );
-    let t_cycle = estimate_dispersion(
+    let t_cycle = estimate(
         &cyc.graph,
         cyc.origin,
         Process::Parallel,
         &cfg,
         150,
-        0,
         SEED + 8,
     );
     assert!(
@@ -105,22 +119,20 @@ fn who_wins_ordering_at_fixed_n() {
 fn lazy_factor_two() {
     // Theorem 4.3 on the clique at n = 128
     let g = complete(128);
-    let seq_s = estimate_dispersion(
+    let seq_s = estimate(
         &g,
         0,
         Process::Sequential,
         &ProcessConfig::simple(),
         300,
-        0,
         SEED + 9,
     );
-    let seq_l = estimate_dispersion(
+    let seq_l = estimate(
         &g,
         0,
         Process::Sequential,
         &ProcessConfig::lazy(),
         300,
-        0,
         SEED + 10,
     );
     let ratio = seq_l.mean / seq_s.mean;
@@ -132,8 +144,8 @@ fn ctu_matches_parallel() {
     // Theorem 4.8 on the clique at n = 128
     let g = complete(128);
     let cfg = ProcessConfig::simple();
-    let ctu = estimate_dispersion(&g, 0, Process::Ctu, &cfg, 300, 0, SEED + 11);
-    let par = estimate_dispersion(&g, 0, Process::Parallel, &cfg, 300, 0, SEED + 12);
+    let ctu = estimate(&g, 0, Process::Ctu, &cfg, 300, SEED + 11);
+    let par = estimate(&g, 0, Process::Parallel, &cfg, 300, SEED + 12);
     let ratio = ctu.mean / par.mean;
     assert!((0.8..1.25).contains(&ratio), "ctu/par = {ratio}");
 }
@@ -144,16 +156,15 @@ fn path_and_cycle_agree() {
     // path ≈ cycle up to a constant ≈ 2-4 at equal n (path has reflective
     // ends); just check same order of magnitude.
     let cfg = ProcessConfig::simple();
-    let p = estimate_dispersion(
+    let p = estimate(
         &dispersion_repro::graphs::generators::path(32),
         0,
         Process::Sequential,
         &cfg,
         150,
-        0,
         SEED + 13,
     );
-    let c = estimate_dispersion(&cycle(32), 0, Process::Sequential, &cfg, 150, 0, SEED + 14);
+    let c = estimate(&cycle(32), 0, Process::Sequential, &cfg, 150, SEED + 14);
     let ratio = p.mean / c.mean;
     assert!((0.5..8.0).contains(&ratio), "path/cycle = {ratio}");
 }
