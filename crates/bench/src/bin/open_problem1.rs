@@ -12,14 +12,15 @@
 //!
 //! ```text
 //! cargo run -p dispersion-bench --release --bin open_problem1 -- \
-//!     [--sizes 24,32,...] [--budget ci:0.03] \
+//!     [--sizes 24,32,...] [--budget trials:N|ci:REL[,MIN[,MAX]]] \
 //!     [--topology implicit|explicit] [--resume FILE] [--format json]
 //! ```
 //!
 //! Defaults: implicit torus backend (no adjacency materialised), eight
 //! sides from 24 to 256 (`n = 576 … 65 536`, two decades), per-side
 //! adaptive `ci:` budgets that loosen as the `Θ(n²)`-step fills grow, and
-//! trial caps above [`LARGE_N`]. The committed capture
+//! trial caps above [`LARGE_N`]. `--budget` is the only budget override:
+//! `--trials` does not apply here. The committed capture
 //! (`BENCH_open_problem1.json`) is this binary's `--format json` output:
 //! one record per side plus one `fit` record per normalisation.
 
@@ -38,9 +39,9 @@ const LARGE_N: usize = 20_000;
 /// near-uniform spacing in `ln n` — what the regression wants.
 const DEFAULT_SIDES: [usize; 8] = [24, 32, 48, 64, 90, 128, 180, 256];
 
-/// Per-side adaptive budget, unless `--budget`/`--trials` overrides: tight
-/// CI where fills are cheap, looser CI in the mid range, a trial pair
-/// beyond [`LARGE_N`].
+/// Per-side adaptive budget, unless `--budget trials:N` or `--budget ci:…`
+/// overrides (`--trials` does not): tight CI where fills are cheap, looser
+/// CI in the mid range, a trial pair beyond [`LARGE_N`].
 fn side_budget(opts: &Options, n: usize) -> Budget {
     if let Some(b) = opts.budget {
         return match b {

@@ -164,8 +164,9 @@ pub struct Clock {
 pub struct EngineView<'a> {
     /// Active list: indices of unsettled particles. Order is
     /// schedule-dependent (ascending for Parallel, scrambled by swap-remove
-    /// otherwise); empty under lazy-spawn schedules.
-    pub active: &'a [usize],
+    /// otherwise); empty under lazy-spawn schedules. Particle ids are below
+    /// `particles ≤ n`, so they fit a `u32` like [`Vertex`] does.
+    pub active: &'a [u32],
     /// `settled[i]`: whether particle `i` has settled.
     pub settled: &'a [bool],
     /// `steps[i]`: walk steps particle `i` has performed so far.
@@ -243,6 +244,7 @@ where
     let n = g.n();
     let k = cfg.particles;
     assert!(k >= 1 && k <= n, "particle count {k} out of range 1..={n}");
+    assert!(k < u32::MAX as usize, "particle count {k} exceeds u32 ids");
     if let Origins::Single(v) = cfg.origins {
         assert!((v as usize) < n, "origin {v} out of range");
     }
@@ -260,8 +262,9 @@ where
     let mut settled = vec![false; k];
     let mut settled_at: Vec<Vertex> = vec![0; k];
     let mut spawned = if lazy { vec![false; k] } else { Vec::new() };
-    let mut active: Vec<usize> = Vec::new();
-    let mut slot_of: Vec<usize> = vec![usize::MAX; k];
+    // u32 ids and slots (`u32::MAX` = not in the list): 8 bytes a particle
+    let mut active: Vec<u32> = Vec::new();
+    let mut slot_of: Vec<u32> = vec![u32::MAX; k];
     let mut unsettled = k;
     let mut ticks: u64 = 0;
     let mut rounds: u64 = 0;
@@ -316,9 +319,9 @@ where
                 settle!(pid, origin);
             }
         }
-        active.extend((0..k).filter(|&pid| !settled[pid]));
+        active.extend((0..k as u32).filter(|&pid| !settled[pid as usize]));
         for (s, &pid) in active.iter().enumerate() {
-            slot_of[pid] = s;
+            slot_of[pid as usize] = s as u32;
         }
     }
 
@@ -337,12 +340,12 @@ where
             obs.on_step(pid, pos, &view!());
             if !occ.is_occupied(pos) && rule.should_settle(steps[pid], pos) {
                 settle!(pid, pos);
-                if $removal == Removal::Immediate && slot_of[pid] != usize::MAX {
-                    let s = slot_of[pid];
+                if $removal == Removal::Immediate && slot_of[pid] != u32::MAX {
+                    let s = slot_of[pid] as usize;
                     active.swap_remove(s);
-                    slot_of[pid] = usize::MAX;
+                    slot_of[pid] = u32::MAX;
                     if s < active.len() {
-                        slot_of[active[s]] = s;
+                        slot_of[active[s] as usize] = s as u32;
                     }
                 }
             }
@@ -356,9 +359,9 @@ where
                 rounds += 1;
                 // ordered in-place compaction: drop settled particles,
                 // keep ascending order for the next tie-breaking scan
-                active.retain(|&pid| !settled[pid]);
+                active.retain(|&pid| !settled[pid as usize]);
                 for (s, &pid) in active.iter().enumerate() {
-                    slot_of[pid] = s;
+                    slot_of[pid as usize] = s as u32;
                 }
                 obs.on_round(&view!());
             }

@@ -176,7 +176,7 @@ impl Schedule for Parallel {
             self.cursor = 0;
             return Event::NewRound;
         }
-        let pid = view.active[self.cursor];
+        let pid = view.active[self.cursor] as usize;
         self.cursor += 1;
         Event::Step { pid, dt: 0.0 }
     }
@@ -264,7 +264,7 @@ impl Schedule for Uniform {
         let slot = ((rng.random::<u64>() as u128 * a as u128) >> 64) as usize;
         Event::Jump {
             noops,
-            pid: view.active[slot],
+            pid: view.active[slot] as usize,
             dt: 0.0,
         }
     }
@@ -349,7 +349,7 @@ impl Schedule for Ctu {
         let dt = sample_exponential(k as f64, rng);
         let slot = rng.random_range(0..k);
         Event::Step {
-            pid: view.active[slot],
+            pid: view.active[slot] as usize,
             dt,
         }
     }
@@ -446,7 +446,7 @@ impl Schedule for CtuClocks {
             // ascending spawn order) for a deterministic draw sequence
             for &pid in view.active {
                 let t = sample_exponential(1.0, rng);
-                self.push(t, pid);
+                self.push(t, pid as usize);
             }
         }
         loop {

@@ -1,5 +1,5 @@
 //! Process-wide counters behind `GET /metrics`: lock-free atomics bumped
-//! from the worker sinks (one update per [`CHUNK`]-sized work unit, so
+//! from the worker sinks (one update per folded [`CHUNK`] of trials, so
 //! the hot trial loop never touches them) and rendered as a Prometheus
 //! text exposition.
 //!

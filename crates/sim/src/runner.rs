@@ -3,13 +3,19 @@
 //!
 //! # Execution model
 //!
-//! Every cell's trial range is cut into fixed [`CHUNK`]-sized chunks at
-//! deterministic boundaries. A chunk is the unit of work a thread claims:
-//! it runs the chunk's trials **in trial order**, folding each sample into
-//! a per-chunk one-pass [`Online`] accumulator — no sample vector is ever
-//! materialised. When the last chunk of a *round* lands, the finishing
-//! thread merges the chunk accumulators **in chunk order** into the cell's
-//! running statistics and evaluates the cell's [`Budget`]:
+//! A thread claims **one trial** at a time, so a cell with fewer trials
+//! than threads still keeps every thread busy. Every cell's trial range is
+//! cut into fixed [`CHUNK`]-sized chunks at deterministic boundaries; the
+//! chunk is the unit the statistics merge in, not the unit of work. When
+//! the last trial of a chunk lands, the chunk's outputs fold **in trial
+//! order, up to the chunk's first error**, into per-chunk one-pass
+//! [`Online`] accumulators, and the chunk emits its one [`Event::Chunk`].
+//! A landed trial holds its few statistics only until the round ends: a
+//! cell holds at most one round's unfolded trial outputs, and no whole-cell
+//! sample vector is ever materialised. When the last chunk of a
+//! *round* folds, the finishing thread merges the chunk accumulators **in
+//! chunk order** into the cell's running statistics and evaluates the
+//! cell's [`Budget`]:
 //!
 //! * [`Budget::Trials`] — one round covering all trials;
 //! * [`Budget::CiHalfWidth`] — a `min_trials` round, then geometrically
@@ -25,8 +31,8 @@
 //! **bit-identical across `--threads` settings**, checkpoint restarts
 //! included.
 //!
-//! Threads prefer chunks of already-active cells and only activate (=
-//! resolve the graph of) the next pending cell when no claimable chunk
+//! Threads prefer trials of already-active cells and only activate (=
+//! resolve the graph of) the next pending cell when no claimable trial
 //! exists, so at most ≈`threads` instances are resident at once while a
 //! slow cell (a 500×500 torus, say) can never serialise the sweep behind
 //! it: finished threads immediately steal into the next cell.
@@ -73,10 +79,11 @@ impl CancelToken {
     }
 }
 
-/// Trials per work unit. This constant is part of the determinism
-/// contract: chunk boundaries (and hence merge order) must not depend on
-/// the machine, so never derive it from the thread count — and changing it
-/// changes the low-order bits of every variance ever recorded.
+/// Trials per merge unit (threads claim single trials). This constant is
+/// part of the determinism contract: chunk boundaries (and hence merge
+/// order) must not depend on the machine, so never derive it from the
+/// thread count — and changing it changes the low-order bits of every
+/// variance ever recorded.
 pub const CHUNK: usize = 8;
 
 /// Executes [`ExperimentSpec`]s. See the module docs for the scheduling
@@ -195,17 +202,155 @@ struct Active {
     round_start: usize,
     /// Trials in the current round.
     round_len: usize,
-    /// Chunks handed out so far in this round.
-    next_chunk: usize,
-    /// Landed chunk results, indexed by chunk number.
+    /// Trials of the current round handed out so far.
+    next_trial: usize,
+    /// The current round's trials, by offset in the round.
+    slots: Vec<Slot>,
+    /// Statistics of the [`Slot::Ran`] trials, `merged.len()` per offset.
+    vals: Vec<f64>,
+    /// Folded chunk results, indexed by chunk number.
     chunk_results: Vec<Option<ChunkOut>>,
-    /// Chunks landed.
+    /// Chunks folded.
     delivered: usize,
 }
 
+/// One trial of the current round, as its chunk's fold sees it.
+enum Slot {
+    /// Not landed yet: unclaimed or in flight.
+    Open,
+    /// Completed after this many walk steps; its statistics sit in
+    /// [`Active::vals`].
+    Ran(u64),
+    /// Stopped with this error.
+    Failed(CellError),
+    /// Never run: an earlier trial of its chunk failed, so the fold would
+    /// drop it anyway.
+    Skipped,
+}
+
 impl Active {
+    /// Initial state for a freshly resolved cell: the budget's first round
+    /// is open.
+    fn new(spec: &ExperimentSpec, id: usize, cell: Arc<ResolvedCell>) -> Active {
+        let round_len = match spec.cells[id].budget {
+            Budget::Trials(n) => n,
+            Budget::CiHalfWidth {
+                min_trials,
+                max_trials,
+                ..
+            } => min_trials.min(max_trials),
+        };
+        let mut a = Active {
+            cell,
+            merged: vec![Online::new(); spec.cells[id].measure.stat_names().len()],
+            trials_done: 0,
+            round_start: 0,
+            round_len: 0,
+            next_trial: 0,
+            slots: Vec::new(),
+            vals: Vec::new(),
+            chunk_results: Vec::new(),
+            delivered: 0,
+        };
+        a.open_round(0, round_len);
+        a
+    }
+
     fn n_chunks(&self) -> usize {
         self.round_len.div_ceil(CHUNK)
+    }
+
+    /// Opens the round of trials `start..start + len`.
+    fn open_round(&mut self, start: usize, len: usize) {
+        self.round_start = start;
+        self.round_len = len;
+        self.next_trial = 0;
+        self.slots = (0..len).map(|_| Slot::Open).collect();
+        self.vals = vec![0.0; len * self.merged.len()];
+        self.chunk_results = (0..self.n_chunks()).map(|_| None).collect();
+        self.delivered = 0;
+    }
+
+    /// Hands out the next unclaimed trial of the round, by absolute index.
+    fn claim_trial(&mut self) -> Option<usize> {
+        if self.next_trial == self.round_len {
+            return None;
+        }
+        self.next_trial += 1;
+        Some(self.round_start + self.next_trial - 1)
+    }
+
+    /// Lands trial `t`'s outcome (`vals` holds its statistics if it ran).
+    ///
+    /// When this is the last trial of its chunk to land, the chunk folds:
+    /// its trials go into one [`Online`] per statistic **in trial order, up
+    /// to the chunk's first error**, and the chunk's one [`Event::Chunk`]
+    /// goes to `sink`. This is the single fold shared by the [`Runner`] and
+    /// [`run_cell`], which is what keeps their records bit-identical for
+    /// any thread count. Returns whether every chunk of the round has now
+    /// folded.
+    fn land(
+        &mut self,
+        id: usize,
+        t: usize,
+        outcome: Result<u64, CellError>,
+        vals: &[f64],
+        sink: &mut dyn Sink,
+    ) -> bool {
+        let k = self.merged.len();
+        let i = t - self.round_start;
+        let chunk = i / CHUNK;
+        let (lo, hi) = (chunk * CHUNK, ((chunk + 1) * CHUNK).min(self.round_len));
+        self.slots[i] = match outcome {
+            Ok(steps) => {
+                self.vals[i * k..(i + 1) * k].copy_from_slice(vals);
+                Slot::Ran(steps)
+            }
+            Err(e) => {
+                // the fold stops here, so the chunk's unclaimed trials
+                // need not run (claims go in trial order: they are exactly
+                // `next_trial..hi`)
+                while self.next_trial < hi {
+                    self.slots[self.next_trial] = Slot::Skipped;
+                    self.next_trial += 1;
+                }
+                Slot::Failed(e)
+            }
+        };
+        if self.slots[lo..hi].iter().any(|s| matches!(s, Slot::Open)) {
+            return false;
+        }
+
+        let mut out = ChunkOut {
+            stats: vec![Online::new(); k],
+            trials: 0,
+            steps: 0,
+            error: None,
+        };
+        for j in lo..hi {
+            match std::mem::replace(&mut self.slots[j], Slot::Skipped) {
+                Slot::Ran(steps) => {
+                    for (acc, &x) in out.stats.iter_mut().zip(&self.vals[j * k..(j + 1) * k]) {
+                        acc.push(x);
+                    }
+                    out.trials += 1;
+                    out.steps += steps;
+                }
+                Slot::Failed(e) => {
+                    out.error = Some((self.round_start + j, e));
+                    break;
+                }
+                Slot::Open | Slot::Skipped => unreachable!("trial folded before its chunk landed"),
+            }
+        }
+        sink.on_event(&Event::Chunk {
+            cell: id,
+            trials: out.trials,
+            steps: out.steps,
+        });
+        self.chunk_results[chunk] = Some(out);
+        self.delivered += 1;
+        self.delivered == self.n_chunks()
     }
 }
 
@@ -241,13 +386,10 @@ struct Shared {
 enum Task {
     /// Build cell `id`'s instance.
     Resolve(usize),
-    /// Run trials `lo..hi` of cell `id` (chunk `chunk_idx` of the current
-    /// round).
-    Chunk {
+    /// Run trial `t` of cell `id`.
+    Trial {
         id: usize,
-        chunk_idx: usize,
-        lo: usize,
-        hi: usize,
+        t: usize,
         cell: Arc<ResolvedCell>,
     },
     /// All cells are done.
@@ -272,13 +414,14 @@ impl Drop for AbortOnPanic<'_> {
     }
 }
 
-fn worker<S: Sink + ?Sized>(
+fn worker(
     spec: &ExperimentSpec,
     shared: &Shared,
-    sink: &Mutex<&mut S>,
+    sink: &Mutex<&mut (dyn Sink + '_)>,
     ctrl: &CancelToken,
 ) {
     let _abort_guard = AbortOnPanic(shared);
+    let mut vals = Vec::new();
     loop {
         let task = claim(shared);
         match task {
@@ -297,10 +440,10 @@ fn worker<S: Sink + ?Sized>(
                         let cell = Arc::new(cell);
                         {
                             // Started goes out under the state lock, before
-                            // any thread can claim a chunk — sinks never see
+                            // any thread can claim a trial — sinks never see
                             // a cell's Done ahead of its Started
                             let mut st = shared.state.lock().unwrap();
-                            st.cells[id] = CellStatus::Active(new_active(spec, id, cell));
+                            st.cells[id] = CellStatus::Active(Active::new(spec, id, cell));
                             sink.lock().unwrap().on_event(&Event::Started {
                                 cell: id,
                                 key: &key,
@@ -323,44 +466,19 @@ fn worker<S: Sink + ?Sized>(
                     }
                 }
             }
-            Task::Chunk {
-                id,
-                chunk_idx,
-                lo,
-                hi,
-                cell,
-            } => {
-                let out = run_chunk(spec, id, &cell, lo, hi, ctrl);
+            Task::Trial { id, t, cell } => {
+                vals.resize(spec.cells[id].measure.stat_names().len(), 0.0);
+                let outcome = run_trial(spec, id, &cell, t, ctrl, &mut vals);
                 let mut st = shared.state.lock().unwrap();
-                deliver(spec, shared, &mut st, id, chunk_idx, out, sink);
+                let CellStatus::Active(a) = &mut st.cells[id] else {
+                    unreachable!("trial landed on a non-active cell");
+                };
+                if a.land(id, t, outcome, &vals, &mut **sink.lock().unwrap()) {
+                    end_round(spec, shared, &mut st, id, sink);
+                }
             }
         }
     }
-}
-
-/// Initial [`Active`] state for a freshly resolved cell.
-fn new_active(spec: &ExperimentSpec, id: usize, cell: Arc<ResolvedCell>) -> Active {
-    let stat_count = spec.cells[id].measure.stat_names().len();
-    let round_len = match spec.cells[id].budget {
-        Budget::Trials(n) => n,
-        Budget::CiHalfWidth {
-            min_trials,
-            max_trials,
-            ..
-        } => min_trials.min(max_trials),
-    };
-    let mut a = Active {
-        cell,
-        merged: vec![Online::new(); stat_count],
-        trials_done: 0,
-        round_start: 0,
-        round_len,
-        next_chunk: 0,
-        chunk_results: Vec::new(),
-        delivered: 0,
-    };
-    a.chunk_results = (0..a.n_chunks()).map(|_| None).collect();
-    a
 }
 
 /// Claims the next task, blocking until one exists or everything is done.
@@ -370,19 +488,13 @@ fn claim(shared: &Shared) -> Task {
         if st.done == shared.total || st.aborted {
             return Task::Exit;
         }
-        // 1. a chunk of an already-active cell (keeps resident instances few)
+        // 1. a trial of an already-active cell (keeps resident instances few)
         for id in 0..st.cells.len() {
             if let CellStatus::Active(a) = &mut st.cells[id] {
-                if a.next_chunk < a.n_chunks() {
-                    let chunk_idx = a.next_chunk;
-                    a.next_chunk += 1;
-                    let lo = a.round_start + chunk_idx * CHUNK;
-                    let hi = (lo + CHUNK).min(a.round_start + a.round_len);
-                    return Task::Chunk {
+                if let Some(t) = a.claim_trial() {
+                    return Task::Trial {
                         id,
-                        chunk_idx,
-                        lo,
-                        hi,
+                        t,
                         cell: Arc::clone(&a.cell),
                     };
                 }
@@ -400,84 +512,42 @@ fn claim(shared: &Shared) -> Task {
             st.cells[id] = CellStatus::Resolving;
             return Task::Resolve(id);
         }
-        // 3. wait for in-flight chunks to open new rounds / finish cells
+        // 3. wait for in-flight trials to open new rounds / finish cells
         st = shared.cv.wait(st).unwrap();
     }
 }
 
-/// Runs one chunk's trials in trial order, checking the cancel token at
-/// every trial boundary (the cheap cooperative stop the serve layer's
-/// `DELETE /jobs/<id>` relies on).
-fn run_chunk(
+/// Runs trial `t` of cell `id` into `vals`, unless the cancel token has
+/// fired: the cheap cooperative stop at trial boundaries that the serve
+/// layer's `DELETE /jobs/<id>` relies on.
+fn run_trial(
     spec: &ExperimentSpec,
     id: usize,
     cell: &ResolvedCell,
-    lo: usize,
-    hi: usize,
+    t: usize,
     ctrl: &CancelToken,
-) -> ChunkOut {
+    vals: &mut [f64],
+) -> Result<u64, CellError> {
+    if ctrl.is_cancelled() {
+        return Err(CellError::Cancelled);
+    }
     let c = &spec.cells[id];
-    let names = c.measure.stat_names();
-    let master = spec.master_seed(id);
-    let mut stats = vec![Online::new(); names.len()];
-    let mut out = vec![0.0; names.len()];
-    let mut trials = 0;
-    let mut steps = 0;
-    let mut error = None;
-    for t in lo..hi {
-        if ctrl.is_cancelled() {
-            error = Some((t, CellError::Cancelled));
-            break;
-        }
-        let mut rng = Xoshiro256pp::new(trial_seed(master, t as u64));
-        match c.measure.run_trial(cell, &c.cfg, &mut out, &mut rng) {
-            Ok(walked) => {
-                for (acc, &x) in stats.iter_mut().zip(&out) {
-                    acc.push(x);
-                }
-                trials += 1;
-                steps += walked;
-            }
-            Err(e) => {
-                error = Some((t, e));
-                break;
-            }
-        }
-    }
-    ChunkOut {
-        stats,
-        trials,
-        steps,
-        error,
-    }
+    let mut rng = Xoshiro256pp::new(trial_seed(spec.master_seed(id), t as u64));
+    c.measure.run_trial(cell, &c.cfg, vals, &mut rng)
 }
 
-/// Lands a chunk; on round completion merges, decides, and either opens
-/// the next round or completes the cell.
-fn deliver<S: Sink + ?Sized>(
+/// Closes cell `id`'s completed round: either completes the cell or opens
+/// its next round and reports progress.
+fn end_round(
     spec: &ExperimentSpec,
     shared: &Shared,
     st: &mut State,
     id: usize,
-    chunk_idx: usize,
-    out: ChunkOut,
-    sink: &Mutex<&mut S>,
+    sink: &Mutex<&mut (dyn Sink + '_)>,
 ) {
-    sink.lock().unwrap().on_event(&Event::Chunk {
-        cell: id,
-        trials: out.trials,
-        steps: out.steps,
-    });
     let CellStatus::Active(a) = &mut st.cells[id] else {
-        unreachable!("chunk delivered to non-active cell");
+        unreachable!("round ended on a non-active cell");
     };
-    debug_assert!(a.chunk_results[chunk_idx].is_none());
-    a.chunk_results[chunk_idx] = Some(out);
-    a.delivered += 1;
-    if a.delivered < a.n_chunks() {
-        return;
-    }
-
     match finish_round(spec, id, a) {
         RoundOutcome::Done(record) => {
             complete_cell(st, shared, id, record, sink);
@@ -551,12 +621,7 @@ fn finish_round(spec: &ExperimentSpec, id: usize, a: &mut Active) -> RoundOutcom
         unreachable!();
     };
     let grow = (a.trials_done / 2).max(CHUNK);
-    let next_len = grow.min(max_trials - a.trials_done);
-    a.round_start = a.trials_done;
-    a.round_len = next_len;
-    a.next_chunk = 0;
-    a.delivered = 0;
-    a.chunk_results = (0..a.n_chunks()).map(|_| None).collect();
+    a.open_round(a.trials_done, grow.min(max_trials - a.trials_done));
     RoundOutcome::Continue {
         trials_done: a.trials_done as u64,
         relative_ci: a.merged[0].relative_ci(),
@@ -567,9 +632,10 @@ fn finish_round(spec: &ExperimentSpec, id: usize, a: &mut Active) -> RoundOutcom
 /// streaming the same [`Event`]s a [`Runner`] would, and returns its
 /// record.
 ///
-/// Chunks run sequentially in chunk order and rounds merge through the
-/// same `finish_round` the runner uses, so the record is **bit-identical**
-/// to the one `Runner::run` produces for that cell at any thread count.
+/// Trials run in trial order through the same fold and the same
+/// `finish_round` the runner uses, so the record is **bit-identical** to
+/// the one `Runner::run` produces for that cell at any thread count. A
+/// failed trial skips the rest of its chunk, which the fold would drop.
 /// The serve layer's worker pool schedules (job, cell) pairs through this
 /// entry point — cell-grained claims are what let many small jobs drain
 /// past one long-running torus cell.
@@ -600,7 +666,8 @@ pub fn run_cell(
         cell: id,
         key: &key,
     });
-    let mut a = new_active(spec, id, cell);
+    let mut a = Active::new(spec, id, cell);
+    let mut vals = vec![0.0; a.merged.len()];
     loop {
         if a.round_len == 0 {
             // zero-trial budget: complete without running
@@ -611,18 +678,9 @@ pub fn run_cell(
             });
             return record;
         }
-        for chunk_idx in 0..a.n_chunks() {
-            let lo = a.round_start + chunk_idx * CHUNK;
-            let hi = (lo + CHUNK).min(a.round_start + a.round_len);
-            let cell = Arc::clone(&a.cell);
-            let out = run_chunk(spec, id, &cell, lo, hi, ctrl);
-            sink.on_event(&Event::Chunk {
-                cell: id,
-                trials: out.trials,
-                steps: out.steps,
-            });
-            a.chunk_results[chunk_idx] = Some(out);
-            a.delivered += 1;
+        while let Some(t) = a.claim_trial() {
+            let outcome = run_trial(spec, id, &a.cell, t, ctrl, &mut vals);
+            a.land(id, t, outcome, &vals, sink);
         }
         match finish_round(spec, id, &mut a) {
             RoundOutcome::Done(record) => {
@@ -647,12 +705,12 @@ pub fn run_cell(
 }
 
 /// Marks a cell done, stores its record and emits the `Done` event.
-fn complete_cell<S: Sink + ?Sized>(
+fn complete_cell(
     st: &mut State,
     shared: &Shared,
     id: usize,
     record: Record,
-    sink: &Mutex<&mut S>,
+    sink: &Mutex<&mut (dyn Sink + '_)>,
 ) {
     st.cells[id] = CellStatus::Done; // drops the Active (and its instance)
     st.records[id] = Some(record);
@@ -930,6 +988,130 @@ mod tests {
         assert!(r1[0].error.as_ref().unwrap().contains("trial 0"));
         assert!(r1[1].error.is_none(), "other cells still complete");
         assert_eq!(r1[1].trials, 10);
+    }
+
+    #[test]
+    fn mid_chunk_error_is_deterministic() {
+        // a step cap at the median total-steps of the cell: trial 3 fails
+        // while trials 0..3 and trial 4 of its chunk and trials of later
+        // chunks succeed, so multi-threaded runs land later trials of the
+        // failing chunk before (or after) the failing one
+        let cap = 2538;
+        let mut spec = ExperimentSpec::new(2);
+        spec.push(
+            CellSpec::new(
+                FamilySpec::explicit(Family::Cycle, 32),
+                Measure::Dispersion(Process::Parallel),
+            )
+            .budget(Budget::Trials(3 * CHUNK))
+            .config(ProcessConfig::simple().with_cap(cap)),
+        );
+        let g = dispersion_graphs::generators::cycle(32);
+        let steps = Measure::TotalSteps(Process::Parallel)
+            .samples(
+                &g,
+                0,
+                &ProcessConfig::simple(),
+                3 * CHUNK,
+                1,
+                spec.master_seed(0),
+            )
+            .unwrap()
+            .remove(0);
+        let fails = |t: usize| steps[t] > cap as f64;
+        let first = (0..steps.len()).find(|&t| fails(t)).unwrap();
+        assert_eq!(first, 3, "uncapped steps {steps:?}");
+        assert!(!fails(4), "a later trial of the failing chunk succeeds");
+        assert!((CHUNK..steps.len()).any(|t| !fails(t)));
+
+        let mut solo_sink = MemorySink::default();
+        let solo = run_cell(&spec, 0, &CancelToken::new(), &mut solo_sink);
+        let err = solo.error.as_deref().unwrap();
+        assert!(err.starts_with("trial 3:"), "{err}");
+        assert!(solo.trials > 3, "later chunks landed too: {}", solo.trials);
+        for threads in [1, 2, 8] {
+            let mut sink = MemorySink::default();
+            let r = Runner::new(threads).run(&spec, &[], &mut sink);
+            assert_eq!(r[0], solo, "threads = {threads}");
+            assert_eq!(
+                (sink.chunks, sink.trials, sink.steps),
+                (solo_sink.chunks, solo_sink.trials, solo_sink.steps),
+                "threads = {threads}"
+            );
+        }
+        assert_eq!(solo_sink.chunks, 3);
+        assert_eq!(solo_sink.trials, solo.trials);
+
+        let cell = Arc::new(spec.cells[0].family.resolve().unwrap());
+        let mut vals = vec![0.0; 1];
+
+        // claimed one at a time, as `run_cell` does, the failure at trial 3
+        // skips the rest of its chunk: the next claim is the next chunk
+        let mut a = Active::new(&spec, 0, Arc::clone(&cell));
+        for want in 0..=3 {
+            let t = a.claim_trial().unwrap();
+            assert_eq!(t, want);
+            let outcome = run_trial(&spec, 0, &a.cell, t, &CancelToken::new(), &mut vals);
+            a.land(0, t, outcome, &vals, &mut MemorySink::default());
+        }
+        assert_eq!(a.claim_trial(), Some(CHUNK));
+
+        // the widest interleaving, independent of timing: claim the whole
+        // round, then land it last trial first, so every later trial of
+        // the failing chunk lands before the failing one
+        let mut a = Active::new(&spec, 0, cell);
+        let claimed: Vec<usize> = std::iter::from_fn(|| a.claim_trial()).collect();
+        assert_eq!(claimed.len(), 3 * CHUNK);
+        let mut sink = MemorySink::default();
+        let mut round_done = false;
+        for &t in claimed.iter().rev() {
+            let outcome = run_trial(&spec, 0, &a.cell, t, &CancelToken::new(), &mut vals);
+            round_done = a.land(0, t, outcome, &vals, &mut sink);
+        }
+        assert!(round_done);
+        let RoundOutcome::Done(reversed) = finish_round(&spec, 0, &mut a) else {
+            panic!("a failed round completes the cell");
+        };
+        assert_eq!(reversed, solo);
+        assert_eq!(
+            (sink.chunks, sink.trials, sink.steps),
+            (solo_sink.chunks, solo_sink.trials, solo_sink.steps)
+        );
+    }
+
+    #[test]
+    fn second_thread_claims_the_second_trial_of_a_small_cell() {
+        let mut spec = ExperimentSpec::new(1);
+        for trials in [2, CHUNK] {
+            spec.push(
+                CellSpec::new(
+                    FamilySpec::implicit(Family::Cycle, 16),
+                    Measure::Dispersion(Process::Parallel),
+                )
+                .budget(Budget::Trials(trials)),
+            );
+        }
+        let shared = Shared {
+            state: Mutex::new(State {
+                cells: (0..2).map(|_| CellStatus::Pending).collect(),
+                records: vec![None; 2],
+                done: 0,
+                next_pending: 0,
+                aborted: false,
+            }),
+            cv: Condvar::new(),
+            total: 2,
+        };
+        assert!(matches!(claim(&shared), Task::Resolve(0)));
+        let cell = Arc::new(spec.cells[0].family.resolve().unwrap());
+        shared.state.lock().unwrap().cells[0] = CellStatus::Active(Active::new(&spec, 0, cell));
+        for want in 0..2 {
+            match claim(&shared) {
+                Task::Trial { id: 0, t, .. } => assert_eq!(t, want),
+                _ => panic!("claim {want} did not hand out a trial of cell 0"),
+            }
+        }
+        assert!(matches!(claim(&shared), Task::Resolve(1)));
     }
 
     #[test]

@@ -282,8 +282,9 @@ pub enum Event<'a> {
         /// The cell's fingerprint key.
         key: &'a str,
     },
-    /// A work chunk of a cell landed (chunk-grained progress: what a
-    /// serving layer aggregates into live trial counts and steps/s).
+    /// A [`CHUNK`](crate::runner::CHUNK) of a cell's trials folded
+    /// (chunk-grained progress: what a serving layer aggregates into live
+    /// trial counts and steps/s).
     /// Counts are *deltas* for the one chunk, not cumulative totals.
     Chunk {
         /// Cell id.
