@@ -5,49 +5,27 @@
 
 use crate::Options;
 use dispersion_sim::runner::Runner;
-use dispersion_sim::sink::{parse_ndjson_lossy, Fanout, NdjsonSink, Record};
+use dispersion_sim::sink::{read_checkpoint, Fanout, NdjsonSink, Record};
 use dispersion_sim::spec::ExperimentSpec;
 use std::fs;
 use std::io::BufWriter;
+use std::path::Path;
 
-/// Loads the checkpoint records behind `--resume FILE` (an absent file is
-/// an empty checkpoint — the first run of a resumable sweep).
-///
-/// A malformed *final* line is tolerated with a warning: a kill mid-write
-/// can tear the last record, and refusing to resume would waste exactly
-/// the work the flag exists to save — the torn cell simply re-runs.
+/// Loads the checkpoint records behind `--resume FILE` through
+/// [`read_checkpoint`]: an absent file is an empty checkpoint (the first
+/// run of a resumable sweep), and a torn final line is dropped with a
+/// warning — a kill mid-write can tear the last record, and refusing to
+/// resume would waste exactly the work the flag exists to save.
 ///
 /// # Panics
 ///
-/// Panics with a usage hint when the file cannot be read or an *interior*
-/// line is malformed (that is not a torn tail but a wrong/corrupt file).
+/// Panics with a usage hint when the file cannot be read or repaired, or
+/// an *interior* line is malformed (that is not a torn tail but a
+/// wrong/corrupt file).
 pub fn load_checkpoint(path: &str) -> Vec<Record> {
-    if !std::path::Path::new(path).exists() {
-        return Vec::new();
-    }
-    let text =
-        fs::read_to_string(path).unwrap_or_else(|e| panic!("--resume {path:?}: cannot read: {e}"));
-    let (records, tail) = parse_ndjson_lossy(&text);
-    if let Some(tail) = tail {
-        // only a *final* malformed line is a torn tail; garbage followed by
-        // more complete lines means the wrong/corrupt file was passed
-        if text[tail.offset..].trim_end().contains('\n') {
-            panic!(
-                "--resume {path:?}: malformed checkpoint: line {}: {}",
-                tail.line, tail.error
-            );
-        }
-        eprintln!(
-            "# resume: dropping torn final line of {path} (line {}: {})",
-            tail.line, tail.error
-        );
-        // repair the file on disk too — appending fresh records after the
-        // newline-less torn bytes would glue them into one permanently
-        // corrupt interior line
-        fs::write(path, &text[..tail.offset])
-            .unwrap_or_else(|e| panic!("--resume {path:?}: cannot truncate torn tail: {e}"));
-    }
-    records
+    read_checkpoint(Path::new(path)).unwrap_or_else(|e| {
+        panic!("--resume {path:?}: {e} (pass a file an earlier --resume run wrote, or a new path)")
+    })
 }
 
 /// Runs `spec` with `opts.threads` workers, honouring `--resume`:

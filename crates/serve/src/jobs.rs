@@ -1,62 +1,71 @@
-//! The job store: a bounded queue of submitted [`ExperimentSpec`]s, a
-//! pool of worker threads draining them **cell by cell**, durable NDJSON
+//! The job store: a bounded queue of submitted [`ExperimentSpec`]s, the
+//! per-cell record slots every executor lands into, durable NDJSON
 //! checkpoints, and the blocking record iterator behind the streaming
 //! endpoint.
 //!
+//! # Execution
+//!
+//! Cells run in one of two places — the in-process worker pool
+//! ([`JobStore::start_workers`], `shards = 0`) or the shard worker
+//! processes (`shards = k > 0`) — but both use the one executor in
+//! `exec`: the same claim order (round-robin across live jobs, lowest
+//! open cell first), the same chunk-progress sink and the same
+//! claim → [`run_cell`](dispersion_sim::runner::run_cell) → land loop.
+//! Whoever ran a cell, its record lands through one private step, which
+//! checks its `(cell, key)` fingerprint, keeps the first record per cell,
+//! and publishes it into the per-cell slot the blocking
+//! [`JobStore::next_record`] iterator reads. The pool lands `Record`
+//! values directly; [`JobStore::complete_from_shard`] lands the decoded
+//! `Record` frames of the shard workers. So the stream a client sees is
+//! byte-identical at any `k`, including 0.
+//!
 //! # Fairness
 //!
-//! Workers claim `(job, cell)` pairs — never whole jobs — round-robin
-//! across the live jobs: after a worker takes a cell from job `j`, the
-//! cursor moves past `j`, so the next free worker serves the next job in
-//! id order. One 500×500-torus cell therefore occupies exactly one worker
-//! for as long as it runs while every other worker drains the small jobs
-//! behind it. Within a cell, [`run_cell`] executes chunks in deterministic
-//! chunk order, which keeps records bit-identical to an in-process
+//! Workers claim `(job, cell)` pairs — never whole jobs: after a worker
+//! takes a cell from job `j`, the cursor moves past `j`, so the next free
+//! worker serves the next job in id order. One 500×500-torus cell
+//! therefore occupies exactly one worker for as long as it runs while
+//! every other worker drains the small jobs behind it. Within a cell,
+//! `run_cell` executes chunks in deterministic chunk order, which keeps
+//! records bit-identical to an in-process
 //! [`Runner`](dispersion_sim::runner::Runner) run of the same spec.
 //!
 //! # Durability
 //!
-//! With a data directory, each job persists as three files:
+//! With a data directory, each job persists as
 //!
 //! * `job-<id>.spec.json` — the canonical spec (written once at submit);
-//! * `job-<id>.ndjson` — completed cell records, appended and flushed as
-//!   cells finish (exact-roundtrip NDJSON, the `--resume` format);
+//! * `job-<id>.ndjson` — records the in-process pool completed, appended
+//!   and flushed as cells finish (exact-roundtrip NDJSON, the `--resume`
+//!   format);
+//! * `job-<id>.shard<i>.ndjson` — records shard worker `i` completed,
+//!   appended by the worker *before* it streams them (the front-end
+//!   writes no checkpoint for shard records);
 //! * `job-<id>.cancelled` — empty marker, present once the job is
 //!   cancelled.
 //!
-//! [`JobStore::open`] re-scans the directory: completed cells are
-//! restored from their checkpoints (matched by `(cell, key)` fingerprint,
-//! torn final lines truncated exactly like the CLI's `--resume`), and the
-//! remaining cells re-enter the queue. Because trial `t` of cell `c`
-//! always draws from the same `(seed, cell, trial)`-derived RNG stream,
-//! the records a restarted server appends are byte-identical to the ones
-//! the killed server would have written.
-//!
-//! # Sharded mode
-//!
-//! With `shards = k > 0` ([`JobStore::open_with_shards`]) no in-process
-//! workers run; instead a [`ShardPool`] of `k` worker *processes* owns
-//! the cells (`cell mod k == shard`) and the store becomes the merge
-//! front-end: `Record` frames land through
-//! [`JobStore::complete_from_shard`], which publishes them into the same
-//! per-cell slots the blocking [`JobStore::next_record`] iterator reads —
-//! so the stream a client sees is byte-identical at any `k`, including 0.
-//! Durability moves with the work: each worker appends to its own
-//! `job-<id>.shard<i>.ndjson` before streaming, the front-end writes no
-//! `job-<id>.ndjson` of its own, and the re-scan restores from both
-//! layouts (`k` may even change across restarts).
+//! [`JobStore::open`] re-scans the directory and restores completed cells
+//! from both checkpoint layouts through one reader,
+//! [`read_checkpoint`] (torn final lines truncated exactly like the CLI's
+//! `--resume`), and one restore loop; the shard files are found by
+//! listing, so `k` may even change across restarts. Interior garbage in
+//! `job-<id>.ndjson` skips the job; in a shard file it only re-runs that
+//! file's cells. The remaining cells re-enter the queue. Because trial
+//! `t` of cell `c` always draws from the same `(seed, cell, trial)`-derived
+//! RNG stream, the records a restarted server appends are byte-identical
+//! to the ones the killed server would have written.
 
+use crate::exec::{self, Claim};
 use crate::metrics::Metrics;
 use crate::shard::{self, ShardPool};
 use crate::spec_json;
-use dispersion_sim::runner::{run_cell, CancelToken};
-use dispersion_sim::sink::{parse_ndjson_lossy, Event, Record, Sink};
+use dispersion_sim::runner::CancelToken;
+use dispersion_sim::sink::{read_checkpoint, Record};
 use dispersion_sim::spec::ExperimentSpec;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 
@@ -100,7 +109,11 @@ pub enum NextRecord {
 
 enum Cell {
     Pending,
-    Running,
+    /// A run of the cell is under way; `trials` is its chunk-grained live
+    /// trial count (status endpoint).
+    Running {
+        trials: u64,
+    },
     Done {
         record: Record,
         /// Whether the record belongs to the durable stream. False only
@@ -116,8 +129,6 @@ struct Job {
     ctrl: CancelToken,
     cancelled: bool,
     cells: Vec<Cell>,
-    /// Chunk-grained live trial counts per cell (status endpoint).
-    live_trials: Arc<Vec<AtomicU64>>,
 }
 
 impl Job {
@@ -128,8 +139,34 @@ impl Job {
             ctrl: CancelToken::new(),
             cancelled: false,
             cells: (0..n).map(|_| Cell::Pending).collect(),
-            live_trials: Arc::new((0..n).map(|_| AtomicU64::new(0)).collect()),
         }
+    }
+
+    /// The lowest pending cell, unless the job is cancelled (the
+    /// in-process pool's side of [`exec::next_claim`]).
+    fn open_cell(&self) -> Option<usize> {
+        if self.cancelled {
+            return None;
+        }
+        self.cells.iter().position(|c| matches!(c, Cell::Pending))
+    }
+
+    /// A run of `cell` starts — a claim by the in-process pool or a shard
+    /// worker's `Started` frame, including a re-run after a shard
+    /// reconnect, whose live count restarts from 0.
+    fn start(&mut self, cell: usize) {
+        if cell < self.cells.len() && !matches!(self.cells[cell], Cell::Done { .. }) {
+            self.cells[cell] = Cell::Running { trials: 0 };
+        }
+    }
+
+    /// Whether `record` may fill its cell: the cell exists, its
+    /// `(cell, key)` fingerprint matches the spec, and no record landed
+    /// there yet (first write per cell wins).
+    fn accepts(&self, record: &Record) -> bool {
+        record.cell < self.cells.len()
+            && !matches!(self.cells[record.cell], Cell::Done { .. })
+            && self.spec.cell_key(record.cell) == record.key
     }
 
     fn open_cells(&self) -> usize {
@@ -186,41 +223,6 @@ pub struct JobStore {
     /// breaks the `JobStore ↔ ShardPool` reference cycle; the pool
     /// registers itself via [`JobStore::set_dispatch`] at startup.
     dispatch: Mutex<Option<Weak<ShardPool>>>,
-}
-
-/// What a worker claimed: everything needed to run one cell without
-/// holding the store lock.
-struct Claim {
-    job: u64,
-    cell: usize,
-    spec: Arc<ExperimentSpec>,
-    ctrl: CancelToken,
-    live: Arc<Vec<AtomicU64>>,
-}
-
-/// Forwards chunk-grained progress into the live counters and the
-/// process metrics; everything else (the Done record) comes back as
-/// [`run_cell`]'s return value.
-struct WorkerSink {
-    live: Arc<Vec<AtomicU64>>,
-    metrics: Arc<Metrics>,
-}
-
-impl Sink for WorkerSink {
-    fn on_event(&mut self, event: &Event) {
-        if let Event::Chunk {
-            cell,
-            trials,
-            steps,
-        } = event
-        {
-            // ORDERING: Relaxed — progress gauge only; /status readers
-            // tolerate lag, and cell completion is published under the lock
-            self.live[*cell].fetch_add(*trials, Ordering::Relaxed);
-            Metrics::bump(&self.metrics.trials_total, *trials);
-            Metrics::bump(&self.metrics.steps_total, *steps);
-        }
-    }
 }
 
 fn spec_path(dir: &Path, id: u64) -> PathBuf {
@@ -291,12 +293,14 @@ impl JobStore {
             }
             ids.sort_unstable();
             for id in ids {
+                // a skipped job's id is never reused: a new job under it
+                // would append to the stale checkpoint it was skipped for
+                store.next_id = store.next_id.max(id + 1);
                 match load_job(dir, id, &metrics) {
                     Ok(job) => {
                         if job.is_live() {
                             Metrics::bump(&metrics.jobs_resumed, 1);
                         }
-                        store.next_id = store.next_id.max(id + 1);
                         store.jobs.insert(id, job);
                     }
                     Err(e) => eprintln!("# serve: skipping job {id}: {e}"),
@@ -421,9 +425,7 @@ impl JobStore {
             let (state, trials, error) = match cell {
                 Cell::Pending if job.cancelled => ("cancelled", 0, None),
                 Cell::Pending => ("queued", 0, None),
-                // ORDERING: Relaxed — display gauge; a stale trial count in
-                // a status snapshot is fine
-                Cell::Running => ("running", job.live_trials[i].load(Ordering::Relaxed), None),
+                Cell::Running { trials } => ("running", *trials, None),
                 Cell::Done { record, .. } => (
                     if record.error.is_some() {
                         "error"
@@ -533,65 +535,47 @@ impl JobStore {
         }
     }
 
-    /// Claims the next `(job, cell)` round-robin across live jobs;
+    /// Claims the next `(job, cell)` in [`exec::next_claim`] order;
     /// blocks while the queue is empty. `None` means shutdown.
     fn claim(&self) -> Option<Claim> {
-        let mut st = self.state.lock().unwrap();
+        let mut guard = self.state.lock().unwrap();
         loop {
-            if st.shutdown {
+            if guard.shutdown {
                 return None;
             }
-            // ids cyclically ordered after the cursor: the job we last
-            // served goes to the back of the line
-            let rr = st.rr;
-            let mut ids: Vec<u64> = st.jobs.range(rr + 1..).map(|(id, _)| *id).collect();
-            ids.extend(st.jobs.range(..=rr).map(|(id, _)| *id));
-            for id in ids {
-                let job = st.jobs.get_mut(&id).unwrap();
-                if job.cancelled {
-                    continue;
-                }
-                let Some(cell) = job.cells.iter().position(|c| matches!(c, Cell::Pending)) else {
-                    continue;
-                };
-                job.cells[cell] = Cell::Running;
-                st.rr = id;
-                let job_ref = st.jobs.get(&id).unwrap();
-                return Some(Claim {
-                    job: id,
-                    cell,
-                    spec: Arc::clone(&job_ref.spec),
-                    ctrl: job_ref.ctrl.clone(),
-                    live: Arc::clone(&job_ref.live_trials),
-                });
+            let st = &mut *guard;
+            if let Some((id, cell)) = exec::next_claim(&st.jobs, &mut st.rr, Job::open_cell) {
+                let job = st.jobs.get_mut(&id).expect("claimed job exists");
+                job.start(cell);
+                return Some(Claim::new(id, cell, &job.spec, &job.ctrl));
             }
-            st = self.cv.wait(st).unwrap();
+            guard = self.cv.wait(guard).unwrap();
         }
     }
 
-    /// Lands a completed cell: checkpoints it (unless the job was
-    /// cancelled meanwhile), publishes the record and wakes streamers.
-    fn complete(&self, claim: &Claim, record: Record) {
+    /// The one landing step for every record, whoever ran its cell:
+    /// checkpoints it to `job-<id>.ndjson` when `checkpoint` is set and
+    /// the job is not cancelled, publishes it and wakes streamers.
+    /// Records the job does not [accept](Job::accepts) are ignored.
+    fn land(&self, id: u64, record: Record, checkpoint: bool) {
         let mut st = self.state.lock().unwrap();
-        let job = st
-            .jobs
-            .get_mut(&claim.job)
-            .expect("completed cell of evicted job");
+        let Some(job) = st.jobs.get_mut(&id) else {
+            return;
+        };
+        if !job.accepts(&record) {
+            return;
+        }
+        let cell = record.cell;
         let durable = !job.cancelled;
-        if durable {
+        if durable && checkpoint {
             if let Some(dir) = &self.data_dir {
-                if let Err(e) = append_record(dir, claim.job, &record) {
-                    eprintln!(
-                        "# serve: cannot checkpoint job {} cell {}: {e}",
-                        claim.job, claim.cell
-                    );
+                let path = ndjson_path(dir, id);
+                if let Err(e) = exec::append_checkpoint(&path, &record.to_json_line()) {
+                    eprintln!("# serve: cannot checkpoint job {id} cell {cell}: {e}");
                 }
             }
         }
-        // ORDERING: Relaxed — final gauge sync; the authoritative record is
-        // the Cell::Done written under this same store lock
-        job.live_trials[claim.cell].store(record.trials, Ordering::Relaxed);
-        job.cells[claim.cell] = Cell::Done { record, durable };
+        job.cells[cell] = Cell::Done { record, durable };
         Metrics::bump(&self.metrics.cells_completed, 1);
         if job.open_cells() == 0 && !job.cancelled {
             Metrics::bump(&self.metrics.jobs_completed, 1);
@@ -608,53 +592,29 @@ impl JobStore {
     /// shard file, appended *before* the frame was sent, is the
     /// durability.
     pub fn complete_from_shard(&self, id: u64, line: &str) {
-        let Ok(record) = Record::from_json_line(line) else {
-            eprintln!("# serve: job {id}: unparseable shard record dropped");
-            return;
-        };
-        let mut st = self.state.lock().unwrap();
-        let Some(job) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        let cell = record.cell;
-        if cell >= job.spec.len()
-            || job.spec.cell_key(cell) != record.key
-            || matches!(job.cells[cell], Cell::Done { .. })
-        {
-            return;
+        match Record::from_json_line(line) {
+            Ok(record) => self.land(id, record, false),
+            Err(_) => eprintln!("# serve: job {id}: unparseable shard record dropped"),
         }
-        let durable = !job.cancelled;
-        // ORDERING: Relaxed — final gauge sync; the authoritative record is
-        // the Cell::Done written under this same store lock
-        job.live_trials[cell].store(record.trials, Ordering::Relaxed);
-        job.cells[cell] = Cell::Done { record, durable };
-        Metrics::bump(&self.metrics.cells_completed, 1);
-        if job.open_cells() == 0 && !job.cancelled {
-            Metrics::bump(&self.metrics.jobs_completed, 1);
-        }
-        drop(st);
-        self.cv.notify_all();
     }
 
-    /// Marks a cell as running (a shard worker's `Started` frame).
+    /// Marks a cell as running (a shard worker's `Started` frame). A
+    /// re-run after a shard reconnect restarts the cell's live count.
     pub fn shard_started(&self, id: u64, cell: usize) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(job) = st.jobs.get_mut(&id) {
-            if cell < job.cells.len() && matches!(job.cells[cell], Cell::Pending) {
-                job.cells[cell] = Cell::Running;
-            }
+        if let Some(job) = self.state.lock().unwrap().jobs.get_mut(&id) {
+            job.start(cell);
         }
     }
 
-    /// Books chunk-grained progress from a shard worker (`Progress`
-    /// frames carry per-chunk deltas, exactly like in-process sinks).
-    pub fn shard_progress(&self, id: u64, cell: usize, trials: u64, steps: u64) {
-        let st = self.state.lock().unwrap();
-        if let Some(job) = st.jobs.get(&id) {
-            if cell < job.live_trials.len() {
-                // ORDERING: Relaxed — progress gauge only; see WorkerSink
-                job.live_trials[cell].fetch_add(trials, Ordering::Relaxed);
-            }
+    /// Books one chunk of a running cell's progress — from the in-process
+    /// pool's sink or a shard worker's `Progress` frame, both per-chunk
+    /// deltas.
+    pub fn progress(&self, id: u64, cell: usize, trials: u64, steps: u64) {
+        let mut st = self.state.lock().unwrap();
+        if let Some(Cell::Running { trials: live }) =
+            st.jobs.get_mut(&id).and_then(|job| job.cells.get_mut(cell))
+        {
+            *live += trials;
         }
         drop(st);
         Metrics::bump(&self.metrics.trials_total, trials);
@@ -715,14 +675,11 @@ impl JobStore {
             .map(|_| {
                 let store = Arc::clone(self);
                 std::thread::spawn(move || {
-                    while let Some(claim) = store.claim() {
-                        let mut sink = WorkerSink {
-                            live: Arc::clone(&claim.live),
-                            metrics: Arc::clone(&store.metrics),
-                        };
-                        let record = run_cell(&claim.spec, claim.cell, &claim.ctrl, &mut sink);
-                        store.complete(&claim, record);
-                    }
+                    exec::run(
+                        || store.claim(),
+                        |c, trials, steps| store.progress(c.job, c.cell, trials, steps),
+                        |c, record| store.land(c.job, record, true),
+                    );
                 })
             })
             .collect()
@@ -749,47 +706,10 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
         job.cancelled = true;
         job.ctrl.cancel();
     }
-    let ck = ndjson_path(dir, id);
-    if ck.exists() {
-        let text = fs::read_to_string(&ck).map_err(|e| format!("checkpoint unreadable: {e}"))?;
-        let (records, tail) = parse_ndjson_lossy(&text);
-        if let Some(tail) = tail {
-            // a torn *final* line is the expected crash shape: truncate it
-            // (its cell re-runs); interior garbage means a foreign file
-            if text[tail.offset..].trim_end().contains('\n') {
-                return Err(format!(
-                    "checkpoint corrupt at line {}: {}",
-                    tail.line, tail.error
-                ));
-            }
-            eprintln!(
-                "# serve: job {id}: dropping torn final checkpoint line {} ({})",
-                tail.line, tail.error
-            );
-            fs::write(&ck, &text[..tail.offset])
-                .map_err(|e| format!("cannot truncate torn checkpoint: {e}"))?;
-        }
-        for r in records {
-            let cell = r.cell;
-            if cell < job.spec.len()
-                && job.spec.cell_key(cell) == r.key
-                && !matches!(job.cells[cell], Cell::Done { .. })
-            {
-                // ORDERING: Relaxed — resume-time gauge backfill under the
-                // store lock, before any worker threads exist
-                job.live_trials[cell].store(r.trials, Ordering::Relaxed);
-                job.cells[cell] = Cell::Done {
-                    record: r,
-                    durable: true,
-                };
-                Metrics::bump(&metrics.cells_resumed, 1);
-            }
-        }
-    }
-    // Shard-mode checkpoints: `job-<id>.shard<i>.ndjson`, one per worker
-    // process. Found by directory listing, so the restore works at any —
-    // even a changed — shard count; a conservative resume offset plus the
-    // workers' duplicate-tolerant streaming covers the difference.
+    // The in-process layout first, then every shard file (found by
+    // listing, so the restore works at any, even a changed, shard count;
+    // a conservative resume offset plus the workers' duplicate-tolerant
+    // streaming covers the difference).
     let prefix = format!("job-{id}.shard");
     let mut shard_files: Vec<PathBuf> = fs::read_dir(dir)
         .map_err(|e| format!("data dir unlistable: {e}"))?
@@ -802,25 +722,23 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
         })
         .collect();
     shard_files.sort();
-    for path in shard_files {
-        let records = match shard::read_checkpoint(&path) {
-            Ok(r) => r,
+    let legacy = ndjson_path(dir, id);
+    for path in std::iter::once(legacy.clone()).chain(shard_files) {
+        let records = match read_checkpoint(&path) {
+            Ok(records) => records,
+            // interior garbage in `job-<id>.ndjson` means a foreign file:
+            // skip the job
+            Err(e) if path == legacy => return Err(e),
             Err(e) => {
-                // one foreign/corrupt shard file only costs re-running its
-                // cells (the owning worker resets it on Assign)
+                // a corrupt shard file only costs re-running its cells
+                // (the owning worker resets it on Assign)
                 eprintln!("# serve: job {id}: skipping {}: {e}", path.display());
                 continue;
             }
         };
         for r in records {
-            let cell = r.cell;
-            if cell < job.spec.len()
-                && job.spec.cell_key(cell) == r.key
-                && !matches!(job.cells[cell], Cell::Done { .. })
-            {
-                // ORDERING: Relaxed — resume-time gauge backfill under the
-                // store lock, before any worker threads exist
-                job.live_trials[cell].store(r.trials, Ordering::Relaxed);
+            if job.accepts(&r) {
+                let cell = r.cell;
                 job.cells[cell] = Cell::Done {
                     record: r,
                     durable: true,
@@ -830,18 +748,6 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
         }
     }
     Ok(job)
-}
-
-/// Appends one record line to the job's checkpoint and flushes — the
-/// same write-then-flush-per-record durability the CLI's `--resume`
-/// sink uses.
-fn append_record(dir: &Path, id: u64, record: &Record) -> io::Result<()> {
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(ndjson_path(dir, id))?;
-    writeln!(f, "{}", record.to_json_line())?;
-    f.flush()
 }
 
 #[cfg(test)]
@@ -945,6 +851,28 @@ mod tests {
         let store = memory_store(4);
         assert_eq!(store.next_record(42, 0), NextRecord::NotFound);
         assert!(store.status_json(42).is_none());
+    }
+
+    #[test]
+    fn rerun_cell_restarts_its_live_trial_count() {
+        // a shard reconnect re-runs a half-finished cell: the aborted
+        // attempt's progress must not add to the new run's count
+        let store = memory_store(8);
+        let id = store.submit(small_spec(1)).unwrap();
+        store.shard_started(id, 0);
+        store.progress(id, 0, 8, 100);
+        let status = store.status_json(id).unwrap();
+        assert!(
+            status.contains("\"state\":\"running\",\"trials\":8"),
+            "{status}"
+        );
+        store.shard_started(id, 0);
+        let status = store.status_json(id).unwrap();
+        assert!(
+            status.contains("\"state\":\"running\",\"trials\":0"),
+            "{status}"
+        );
+        store.stop();
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //!
 //! * [`http`] — hand-rolled request parsing, responses, chunked writer;
 //! * [`spec_json`] — the JSON wire form of a spec (canonical roundtrip);
-//! * [`jobs`] — bounded job queue, cell-grained round-robin worker pool,
-//!   NDJSON checkpoint durability, blocking record streams;
+//! * [`jobs`] — bounded job queue, the in-process worker pool, the one
+//!   record landing step, NDJSON checkpoint durability, blocking record
+//!   streams;
+//! * `exec` (private) — the one cell executor the in-process pool and
+//!   the shard worker share: cell-grained round-robin claim order,
+//!   chunk-progress sink, checkpoint append, claim → run → land loop;
 //! * [`metrics`] — `/metrics` text exposition counters;
 //! * [`server`] — socket front-end and routing;
 //! * [`shard`] — multi-process shard fabric: worker protocol, worker
@@ -41,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod exec;
 pub mod http;
 pub mod jobs;
 pub mod metrics;

@@ -17,20 +17,24 @@
 //!
 //! * [`proto`] — length-prefixed frames (`Hello`/`Assign`/`Record`/…)
 //!   over one persistent TCP connection per shard;
-//! * [`worker`] — the headless worker loop behind the
+//! * [`worker`] — the headless worker session behind the
 //!   `dispersion-shard-worker` binary (also runnable in-thread by tests);
+//!   its runner thread is the serve crate's one cell executor, the same
+//!   claim order and claim → run → land loop as the in-process pool;
 //! * [`pool`] — the coordinator: spawns/adopts `k` workers, re-assigns
 //!   live jobs after a crash with a `Resume` offset, feeds records back
-//!   into the [`JobStore`](crate::jobs::JobStore).
+//!   into the [`JobStore`](crate::jobs::JobStore)'s one landing step.
 //!
 //! # Shard checkpoint files
 //!
 //! Each worker persists its own `job-<id>.shard<i>.ndjson` next to the
 //! front-end's files: its owned records in ascending cell order, appended
 //! and flushed before the record is ever streamed. A restarted worker (or
-//! a restarted front-end) replays whole records and truncates a torn
-//! final line — the same durability contract `job-<id>.ndjson` has in
-//! `k = 0` mode, extended across the process boundary.
+//! a restarted front-end) reads them with the same
+//! [`read_checkpoint`](dispersion_sim::sink::read_checkpoint) as
+//! `job-<id>.ndjson`: whole records replay and a torn final line is
+//! truncated — the durability contract of `k = 0` mode, extended across
+//! the process boundary.
 
 pub mod pool;
 pub mod proto;
@@ -38,8 +42,6 @@ pub mod worker;
 
 pub use pool::{ShardLaunch, ShardPool};
 
-use dispersion_sim::sink::{parse_ndjson_lossy, Record};
-use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Does shard `shard` (of `shards`) own cell `cell`?
@@ -55,40 +57,6 @@ pub fn owned_cells(n_cells: usize, shard: u64, shards: u64) -> Vec<usize> {
 /// The checkpoint file shard `shard` keeps for job `id`.
 pub fn shard_ckpt_path(dir: &Path, id: u64, shard: u64) -> PathBuf {
     dir.join(format!("job-{id}.shard{shard}.ndjson"))
-}
-
-/// Reads an NDJSON checkpoint file, truncating a torn *final* line in
-/// place (the expected crash shape — its cell simply re-runs). A missing
-/// file is an empty checkpoint.
-///
-/// # Errors
-///
-/// Unreadable files, failed truncation, and interior garbage (a torn
-/// line followed by more lines means the file is foreign or corrupt, not
-/// crash-cut).
-pub fn read_checkpoint(path: &Path) -> Result<Vec<Record>, String> {
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let text = fs::read_to_string(path).map_err(|e| format!("checkpoint unreadable: {e}"))?;
-    let (records, tail) = parse_ndjson_lossy(&text);
-    if let Some(tail) = tail {
-        if text[tail.offset..].trim_end().contains('\n') {
-            return Err(format!(
-                "checkpoint corrupt at line {}: {}",
-                tail.line, tail.error
-            ));
-        }
-        eprintln!(
-            "# serve: {}: dropping torn final checkpoint line {} ({})",
-            path.display(),
-            tail.line,
-            tail.error
-        );
-        fs::write(path, &text[..tail.offset])
-            .map_err(|e| format!("cannot truncate torn checkpoint: {e}"))?;
-    }
-    Ok(records)
 }
 
 #[cfg(test)]
@@ -111,12 +79,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn missing_checkpoint_is_empty() {
-        let p = std::env::temp_dir().join("serve_shard_no_such_file.ndjson");
-        let _ = fs::remove_file(&p);
-        assert_eq!(read_checkpoint(&p).unwrap(), Vec::<Record>::new());
     }
 }

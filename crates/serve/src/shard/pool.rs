@@ -453,7 +453,7 @@ impl ShardPool {
                     trials,
                     steps,
                 })) => {
-                    self.store.shard_progress(job, cell as usize, trials, steps);
+                    self.store.progress(job, cell as usize, trials, steps);
                 }
                 Ok(Some(Frame::Heartbeat)) => {
                     // ORDERING: Relaxed — monotone counter, display only

@@ -1,8 +1,10 @@
 //! The headless shard worker: owns the cells of every assigned job whose
-//! `cell mod shards == shard`, runs them through the same
-//! [`run_cell`] path the in-process pool uses, checkpoints each record to
-//! its own `job-<id>.shard<i>.ndjson` *before* streaming it back, and
-//! speaks the [`proto`](super::proto) frame protocol with the front-end.
+//! `cell mod shards == shard`, runs them through the serve crate's one
+//! cell executor — the claim order, progress sink, checkpoint append and
+//! claim → `run_cell` → land loop the in-process pool also runs —
+//! checkpoints each record to its own `job-<id>.shard<i>.ndjson`
+//! *before* streaming it back, and speaks the [`proto`](super::proto)
+//! frame protocol with the front-end.
 //!
 //! [`run_worker`] is the whole process: the `dispersion-shard-worker`
 //! binary is a thin flag-parsing wrapper around it, and tests run it on an
@@ -15,9 +17,9 @@
 //!
 //! * the **reader** (the session's own thread) handles `Hello`, `Assign`,
 //!   `Cancel` and `Shutdown` frames;
-//! * a single **runner** thread claims owned cells — ascending cell order
-//!   within a job, round-robin across jobs, mirroring the front-end's
-//!   fairness — and runs them to records;
+//! * a single **runner** thread claims owned cells in the shared claim
+//!   order — round-robin across jobs, lowest open cell first, the
+//!   in-process pool's fairness — and runs them to records;
 //! * a **heartbeat** thread sends idle liveness beacons and watches the
 //!   process termination flag (SIGTERM), turning it into a drain.
 //!
@@ -29,14 +31,15 @@
 //! sent, and [`run_worker`] returns.
 
 use super::proto::{read_frame, write_frame, Frame};
-use super::{owned_cells, read_checkpoint, shard_ckpt_path};
+use super::{owned_cells, shard_ckpt_path};
+use crate::exec::{self, Claim};
 use crate::spec_json;
-use dispersion_sim::runner::{run_cell, CancelToken};
-use dispersion_sim::sink::{Event, Record, Sink};
+use dispersion_sim::runner::CancelToken;
+use dispersion_sim::sink::{read_checkpoint, Record};
 use dispersion_sim::spec::ExperimentSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,10 +74,19 @@ struct WJob {
     spec: Arc<ExperimentSpec>,
     ctrl: CancelToken,
     cancelled: bool,
-    /// This shard's cells, ascending.
-    owned: Vec<usize>,
-    /// Completion per owned index (restored or run).
-    done: Vec<bool>,
+    /// This shard's cells not yet done (restored or run).
+    open: BTreeSet<usize>,
+}
+
+impl WJob {
+    /// The lowest open owned cell, unless the job is cancelled (the
+    /// worker's side of [`exec::next_claim`]).
+    fn open_cell(&self) -> Option<usize> {
+        if self.cancelled {
+            return None;
+        }
+        self.open.first().copied()
+    }
 }
 
 struct SessState {
@@ -112,11 +124,11 @@ impl Session {
     }
 
     /// Sends a `Record` frame and burns one unit of chaos budget.
-    fn send_record(&self, job: u64, record: &Record) {
+    fn send_record(&self, job: u64, cell: usize, line: String) {
         self.send(&Frame::Record {
             job,
-            cell: record.cell as u64,
-            line: record.to_json_line(),
+            cell: cell as u64,
+            line,
         });
         let mut chaos = self.chaos.lock().unwrap();
         if let Some(left) = *chaos {
@@ -128,41 +140,6 @@ impl Session {
             } else {
                 *chaos = Some(left);
             }
-        }
-    }
-}
-
-/// What the runner thread claimed (no locks held while running).
-struct WClaim {
-    job: u64,
-    /// Index into the job's `owned` list.
-    idx: usize,
-    cell: usize,
-    spec: Arc<ExperimentSpec>,
-    ctrl: CancelToken,
-}
-
-/// Forwards chunk-grained progress to the coordinator as `Progress`
-/// frames (they double as liveness while a long cell runs).
-struct ShardSink<'a> {
-    sess: &'a Session,
-    job: u64,
-}
-
-impl Sink for ShardSink<'_> {
-    fn on_event(&mut self, event: &Event) {
-        if let Event::Chunk {
-            cell,
-            trials,
-            steps,
-        } = event
-        {
-            self.sess.send(&Frame::Progress {
-                job: self.job,
-                cell: *cell as u64,
-                trials: *trials,
-                steps: *steps,
-            });
         }
     }
 }
@@ -336,7 +313,9 @@ fn handle_assign(sess: &Session, job: u64, resume: u64, spec_text: &str) {
             return;
         }
     };
-    let owned = owned_cells(spec.len(), sess.shard, sess.shards);
+    let mut open: BTreeSet<usize> = owned_cells(spec.len(), sess.shard, sess.shards)
+        .into_iter()
+        .collect();
     let path = shard_ckpt_path(&sess.data_dir, job, sess.shard);
     let restored = match read_checkpoint(&path) {
         Ok(r) => r,
@@ -353,21 +332,21 @@ fn handle_assign(sess: &Session, job: u64, resume: u64, spec_text: &str) {
         }
     };
 
-    let mut done = vec![false; owned.len()];
     let mut to_stream: Vec<Record> = Vec::new();
     for r in restored {
-        let Some(idx) = owned.iter().position(|&c| c == r.cell) else {
-            continue; // foreign cell (k changed across restarts)
-        };
-        if !done[idx] && spec.cell_key(r.cell) == r.key {
-            done[idx] = true;
-            if idx as u64 >= resume {
+        // skips foreign cells (k changed across restarts), stale keys and
+        // repeats (first restore per cell wins)
+        if open.contains(&r.cell) && spec.cell_key(r.cell) == r.key {
+            open.remove(&r.cell);
+            // `resume` counts owned records; owned cell `shard + i·k` is
+            // the shard's record `i`
+            if r.cell as u64 / sess.shards >= resume {
                 to_stream.push(r);
             }
         }
     }
     to_stream.sort_by_key(|r| r.cell);
-    let all_done = done.iter().all(|&d| d);
+    let all_done = open.is_empty();
 
     {
         let mut st = sess.state.lock().unwrap();
@@ -380,89 +359,75 @@ fn handle_assign(sess: &Session, job: u64, resume: u64, spec_text: &str) {
                 spec,
                 ctrl: CancelToken::new(),
                 cancelled: false,
-                owned,
-                done,
+                open,
             },
         );
     }
     sess.cv.notify_all();
     for r in &to_stream {
-        sess.send_record(job, r);
+        sess.send_record(job, r.cell, r.to_json_line());
     }
     if all_done {
         sess.send(&Frame::JobDone { job });
     }
 }
 
-/// The single runner thread: claim → run → persist → stream, until a
+/// The single runner thread: the shared claim → run → land loop, until a
 /// drain or abort. One cell in flight at a time keeps the shard
 /// checkpoint file append-ordered by completion, like `k = 0` mode's
-/// single-worker file order.
+/// single-worker file order. Chunk progress goes out as `Progress`
+/// frames, which double as liveness while a long cell runs.
 fn runner_loop(sess: &Session) {
-    loop {
-        let claim = {
-            let mut st = sess.state.lock().unwrap();
-            loop {
-                if st.stop != Stop::Run {
-                    return;
-                }
-                if let Some(c) = next_claim(&mut st) {
-                    break c;
-                }
-                // Timed wait: bounds the damage of any missed wakeup
-                // during session teardown races.
-                let (guard, _) = sess
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(100))
-                    .unwrap();
-                st = guard;
-            }
-        };
-        sess.send(&Frame::Started {
-            job: claim.job,
-            cell: claim.cell as u64,
-        });
-        let mut sink = ShardSink {
-            sess,
-            job: claim.job,
-        };
-        let record = run_cell(&claim.spec, claim.cell, &claim.ctrl, &mut sink);
-        finish_cell(sess, &claim, &record);
-    }
+    exec::run(
+        || claim(sess),
+        |c, trials, steps| {
+            sess.send(&Frame::Progress {
+                job: c.job,
+                cell: c.cell as u64,
+                trials,
+                steps,
+            });
+        },
+        |c, record| finish_cell(sess, c, &record),
+    );
 }
 
-/// Next owned cell to run: ascending within a job, round-robin across
-/// jobs — the same fairness order the front-end's in-process pool uses,
-/// so many small jobs drain past one long job's cells.
-fn next_claim(st: &mut SessState) -> Option<WClaim> {
-    let rr = st.rr;
-    let mut ids: Vec<u64> = st.jobs.range(rr + 1..).map(|(id, _)| *id).collect();
-    ids.extend(st.jobs.range(..=rr).map(|(id, _)| *id));
-    for id in ids {
-        let job = st.jobs.get(&id).unwrap();
-        if job.cancelled {
-            continue;
+/// Claims the next owned cell in [`exec::next_claim`] order and announces
+/// it with a `Started` frame; waits while nothing is open. `None` once
+/// the session drains or aborts.
+fn claim(sess: &Session) -> Option<Claim> {
+    let claim = {
+        let mut guard = sess.state.lock().unwrap();
+        loop {
+            if guard.stop != Stop::Run {
+                return None;
+            }
+            let st = &mut *guard;
+            if let Some((id, cell)) = exec::next_claim(&st.jobs, &mut st.rr, WJob::open_cell) {
+                let job = &st.jobs[&id];
+                break Claim::new(id, cell, &job.spec, &job.ctrl);
+            }
+            // Timed wait: bounds the damage of any missed wakeup during
+            // session teardown races.
+            guard = sess
+                .cv
+                .wait_timeout(guard, Duration::from_millis(100))
+                .unwrap()
+                .0;
         }
-        let Some(idx) = job.done.iter().position(|&d| !d) else {
-            continue;
-        };
-        st.rr = id;
-        return Some(WClaim {
-            job: id,
-            idx,
-            cell: job.owned[idx],
-            spec: Arc::clone(&job.spec),
-            ctrl: job.ctrl.clone(),
-        });
-    }
-    None
+    };
+    sess.send(&Frame::Started {
+        job: claim.job,
+        cell: claim.cell as u64,
+    });
+    Some(claim)
 }
 
 /// Lands a finished cell: append + flush to the shard checkpoint *before*
 /// the `Record` frame leaves the process, so anything the coordinator
 /// ever saw survives a worker crash.
-fn finish_cell(sess: &Session, claim: &WClaim, record: &Record) {
-    {
+fn finish_cell(sess: &Session, claim: &Claim, record: &Record) {
+    let all_done = {
         let mut st = sess.state.lock().unwrap();
         if st.stop == Stop::Abort {
             return; // session died mid-cell; the record is discarded
@@ -473,36 +438,24 @@ fn finish_cell(sess: &Session, claim: &WClaim, record: &Record) {
         if job.cancelled {
             return; // cancelled cells produce no durable record
         }
-        job.done[claim.idx] = true;
-    }
+        job.open.remove(&claim.cell);
+        job.open.is_empty()
+    };
     let path = shard_ckpt_path(&sess.data_dir, claim.job, sess.shard);
-    match fs::OpenOptions::new().create(true).append(true).open(&path) {
-        Ok(mut f) => {
-            if writeln!(f, "{}", record.to_json_line())
-                .and_then(|()| f.flush())
-                .is_err()
-            {
-                eprintln!(
-                    "# shard {}: cannot checkpoint job {} cell {}",
-                    sess.shard, claim.job, claim.cell
-                );
-            } else {
-                sess.touched.lock().unwrap().insert(path);
-            }
+    let line = record.to_json_line();
+    match exec::append_checkpoint(&path, &line) {
+        Ok(()) => {
+            sess.touched.lock().unwrap().insert(path);
         }
         Err(e) => eprintln!(
-            "# shard {}: cannot open {}: {e}",
+            "# shard {}: cannot checkpoint job {} cell {} to {}: {e}",
             sess.shard,
+            claim.job,
+            claim.cell,
             path.display()
         ),
     }
-    sess.send_record(claim.job, record);
-    let all_done = {
-        let st = sess.state.lock().unwrap();
-        st.jobs
-            .get(&claim.job)
-            .is_some_and(|j| j.done.iter().all(|&d| d))
-    };
+    sess.send_record(claim.job, claim.cell, line);
     if all_done {
         sess.send(&Frame::JobDone { job: claim.job });
     }

@@ -273,6 +273,19 @@ fn corrupt_interior_or_spec_skips_that_job_only() {
     assert_eq!(id, 4);
     store.stop();
     let _ = std::fs::remove_dir_all(&dir);
+
+    // the highest id is the skipped job: its id must not be reused, or
+    // the new job would append after the stale garbage and be lost as
+    // corrupt on the next restart
+    let dir = fresh_dir("corrupt_last");
+    std::fs::write(dir.join("job-1.spec.json"), spec_to_json(&spec())).unwrap();
+    std::fs::write(dir.join("job-2.spec.json"), spec_to_json(&spec())).unwrap();
+    std::fs::write(dir.join("job-2.ndjson"), "garbage\n{\"also\": bad\n").unwrap();
+    let store = JobStore::open(Some(dir.clone()), 8, Arc::new(Metrics::new())).unwrap();
+    assert!(store.status_json(2).is_none(), "corrupt checkpoint kept");
+    assert_eq!(store.submit(spec()).unwrap(), 3);
+    store.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //!   build their bespoke tables);
 //! * [`NdjsonSink`] — one JSON object per record, streamed as cells
 //!   finish; in *checkpoint* mode it skips records that were resumed from
-//!   an earlier run, so `--resume FILE` can append to the same file it
-//!   loaded;
+//!   an earlier run, so `--resume FILE` can append to the same file
+//!   [`read_checkpoint`] loaded;
 //! * [`TextSink`] / [`CsvSink`] — generic long-format tables (one row per
 //!   cell × statistic), rendered on [`Sink::finish`] in cell order.
 //!
@@ -23,7 +23,9 @@
 
 use crate::json::{fmt_f64, fmt_str, Json};
 use crate::stats::Online;
+use std::fs;
 use std::io::Write;
+use std::path::Path;
 
 /// Summary of one streamed statistic of a cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -270,6 +272,42 @@ pub fn parse_ndjson_lossy(text: &str) -> (Vec<Record>, Option<TornTail>) {
         }
     }
     (records, None)
+}
+
+/// Reads an NDJSON checkpoint file — the one reader behind the CLI's
+/// `--resume` and the job server's re-scan. A missing file is an empty
+/// checkpoint. A torn *final* line (the shape a kill mid-`write` leaves)
+/// is dropped with a note on stderr and truncated away on disk, so
+/// records appended later start on a fresh line; its cell simply re-runs.
+///
+/// # Errors
+///
+/// Unreadable files, a failed truncation, and interior garbage: a
+/// malformed line followed by more lines means the file is foreign or
+/// corrupt, not crash-cut. What such a file costs is the caller's policy.
+pub fn read_checkpoint(path: &Path) -> Result<Vec<Record>, String> {
+    if !path.exists() {
+        return Ok(Vec::new());
+    }
+    let text = fs::read_to_string(path).map_err(|e| format!("checkpoint unreadable: {e}"))?;
+    let (records, tail) = parse_ndjson_lossy(&text);
+    if let Some(tail) = tail {
+        if text[tail.offset..].trim_end().contains('\n') {
+            return Err(format!(
+                "malformed checkpoint at line {}: {}",
+                tail.line, tail.error
+            ));
+        }
+        eprintln!(
+            "# {}: dropping torn final line {} ({})",
+            path.display(),
+            tail.line,
+            tail.error
+        );
+        fs::write(path, &text[..tail.offset])
+            .map_err(|e| format!("cannot truncate torn checkpoint: {e}"))?;
+    }
+    Ok(records)
 }
 
 /// A streamed runner event.
@@ -754,5 +792,13 @@ mod tests {
         assert!(tail.is_none());
         // empty input parses to nothing
         assert_eq!(parse_ndjson_lossy(""), (Vec::new(), None));
+    }
+
+    #[test]
+    fn missing_checkpoint_is_empty() {
+        let p = std::env::temp_dir().join("sim_sink_no_such_checkpoint.ndjson");
+        let _ = fs::remove_file(&p);
+        assert_eq!(read_checkpoint(&p), Ok(Vec::new()));
+        assert!(!p.exists(), "reading must not create the file");
     }
 }
