@@ -10,9 +10,8 @@
 //! ```
 
 use dispersion_bench::Options;
-use dispersion_core::process::sequential::run_sequential;
 use dispersion_core::process::stopping::{run_sequential_with_rule, DelayedExcept};
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::process::{Process, ProcessConfig};
 use dispersion_graphs::generators::{clique_with_hair, clique_with_hair_on_pimple, tree_with_path};
 use dispersion_markov::hitting::max_hitting_time;
 use dispersion_markov::transition::WalkKind;
@@ -29,7 +28,10 @@ fn main() {
     let n = opts.sizes_or(&[128])[0];
     let (g1, v, _v_star) = clique_with_hair(n);
     let samples = par_trials(opts.trials, opts.threads, opts.seed, |_, rng| {
-        run_sequential(&g1, v, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .run(&g1, v, &cfg, rng)
+            .unwrap()
+            .dispersion_time as f64
     });
     let s = Summary::from_samples(&samples);
     // "fast" runs are O(n); "slow" runs are Ω(n²) — split at n^{1.5}
@@ -59,7 +61,10 @@ fn main() {
     let pimple = ((n as f64) / (n as f64).ln()).round() as usize;
     let (g2, v2, _) = clique_with_hair_on_pimple(n, pimple.clamp(1, n - 2));
     let samples2 = par_trials(opts.trials, opts.threads, opts.seed + 1, |_, rng| {
-        run_sequential(&g2, v2, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .run(&g2, v2, &cfg, rng)
+            .unwrap()
+            .dispersion_time as f64
     });
     let s2 = Summary::from_samples(&samples2);
     let slow2 = samples2.iter().filter(|&&x| x > split).count() as f64 / samples2.len() as f64;
@@ -82,7 +87,8 @@ fn main() {
     let (g3, root, _tip) = tree_with_path(levels, path_len);
     let thit = max_hitting_time(&g3, WalkKind::Simple);
     let samples3 = par_trials(opts.trials, opts.threads, opts.seed + 2, |_, rng| {
-        run_sequential(&g3, root, &cfg, rng)
+        Process::Sequential
+            .run(&g3, root, &cfg, rng)
             .unwrap()
             .dispersion_time as f64
     });
@@ -104,7 +110,10 @@ fn main() {
         special: v_star4,
     };
     let std_samples = par_trials(opts.trials, opts.threads, opts.seed + 3, |_, rng| {
-        run_sequential(&g4, v4, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .run(&g4, v4, &cfg, rng)
+            .unwrap()
+            .dispersion_time as f64
     });
     let mod_samples = par_trials(opts.trials, opts.threads, opts.seed + 4, |_, rng| {
         run_sequential_with_rule(&g4, v4, &rule, &cfg, rng)

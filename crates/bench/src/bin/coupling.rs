@@ -9,12 +9,9 @@
 use dispersion_bench::Options;
 use dispersion_core::block::validate::{is_parallel_block, is_sequential_block};
 use dispersion_core::block::{parallel_to_sequential, sequential_to_parallel};
-use dispersion_core::process::parallel::run_parallel;
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::process::{Process, ProcessConfig};
 use dispersion_graphs::families::{Family, Instance};
 use dispersion_sim::dominance::{dominance_violation, ks_p_value};
-use dispersion_sim::experiment::Process;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::spec::Measure::{self, Dispersion, TotalSteps};
 use dispersion_sim::table::{fmt_f, TextTable};
@@ -110,8 +107,12 @@ fn main() {
         let family = families[r % families.len()];
         let inst = family.instance(64, &mut grng);
         let rec = ProcessConfig::simple().recording();
-        let s = run_sequential(&inst.graph, inst.origin, &rec, &mut rng).unwrap();
-        let p = run_parallel(&inst.graph, inst.origin, &rec, &mut rng).unwrap();
+        let s = Process::Sequential
+            .run(&inst.graph, inst.origin, &rec, &mut rng)
+            .unwrap();
+        let p = Process::Parallel
+            .run(&inst.graph, inst.origin, &rec, &mut rng)
+            .unwrap();
         let sb = s.block.unwrap();
         let pb = p.block.unwrap();
         let stp = sequential_to_parallel(&sb);

@@ -24,7 +24,6 @@
 use dispersion_bench::{Backend, Options};
 use dispersion_core::engine::observer::PhaseTimes;
 use dispersion_core::process::partial::{run_parallel_k, run_sequential_random_origins};
-use dispersion_core::process::sequential::run_sequential;
 use dispersion_core::process::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::topology::Implicit;
@@ -119,7 +118,12 @@ fn origins_row<T: Topology + Sync + ?Sized>(
         opts.trials,
         opts.threads,
         opts.seed + 200 + fk as u64,
-        |_, rng| run_sequential(t, origin, cfg, rng).unwrap().dispersion_time as f64,
+        |_, rng| {
+            Process::Sequential
+                .run(t, origin, cfg, rng)
+                .unwrap()
+                .dispersion_time as f64
+        },
     );
     let spread = par_trials(
         opts.trials,

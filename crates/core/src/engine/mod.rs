@@ -17,10 +17,9 @@
 //! no per-step memory indirection and million-vertex torus runs (Open
 //! Problem 1 territory) stop being memory-bound.
 //!
-//! The historical entry points (`process::sequential::run_sequential` and
-//! friends) are thin wrappers over [`run`]; call the engine directly to
-//! compose observers or to run `k < n` particles / random origins under any
-//! schedule:
+//! [`crate::process::Process`] configures [`run`] for each schedule of the
+//! paper; call the engine directly to run `k < n` particles / random
+//! origins under any schedule:
 //!
 //! ```
 //! use dispersion_core::engine::{self, observer::{DispersionTime, PhaseTimes}};

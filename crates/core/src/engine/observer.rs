@@ -317,8 +317,8 @@ impl TrajectoryBlock {
     /// ([`crate::engine::schedule::UniformTicks`]); under the event-driven
     /// [`crate::engine::schedule::Uniform`] the rows and jump ticks are
     /// still exact but the schedule array holds only the move ticks.
-    /// `process::uniform::run_uniform` selects the tick loop whenever
-    /// recording is requested.
+    /// [`crate::process::Process::run`] selects the tick loop whenever it
+    /// records a Uniform run.
     pub fn with_timing() -> Self {
         TrajectoryBlock {
             rows: Vec::new(),

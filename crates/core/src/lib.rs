@@ -15,35 +15,39 @@
 //! generalized stopping), and composable [`engine::Observer`]s stream
 //! statistics (dispersion times, realization blocks, aggregate shapes,
 //! Theorem 3.3/3.5 phase boundaries) out of the run without materialising
-//! per-step state. [`process::Process`] is the one dispatch from a schedule
-//! name to an engine run ([`process::Process::run_observed`]); the
-//! historical entry points are thin wrappers over it or the engine:
+//! per-step state. [`process::Process`] names the paper's five dispersion
+//! processes; [`process::Process::run`] runs one realization and returns a
+//! [`DispersionOutcome`], and [`process::Process::run_observed`] is the one
+//! dispatch from a schedule to an engine run with any observer attached:
 //!
-//! * [`process::sequential::run_sequential`] — one particle at a time,
-//! * [`process::parallel::run_parallel`] — all unsettled particles step each
+//! * [`process::Process::Sequential`] — one particle at a time,
+//! * [`process::Process::Parallel`] — all unsettled particles step each
 //!   round (ties to the smallest index),
-//! * [`process::uniform::run_uniform`] — a random unsettled particle per tick,
-//! * [`process::continuous::run_ctu`] — rate-1 exponential clocks (CTU-IDLA),
-//! * [`process::continuous::run_continuous_sequential`] — Poisson jump times,
-//! * [`process::partial`] — `k < n` particles, random origins, milestones,
-//! * [`process::stopping`] — generalized settle rules (Proposition A.1),
+//! * [`process::Process::Uniform`] — a random particle per tick,
+//! * [`process::Process::Ctu`] — rate-1 exponential clocks (CTU-IDLA),
+//! * [`process::Process::ContinuousSequential`] — Poisson jump times,
 //!
-//! all in simple or lazy ([`ProcessConfig`]) walk flavours, returning
-//! `Result` with [`engine::EngineError::StepCapExceeded`] instead of
-//! panicking when the safety cap fires.
+//! next to [`process::partial`] (`k < n` particles, random origins,
+//! milestones) and [`process::stopping`] (generalized settle rules,
+//! Proposition A.1). All run in simple or lazy ([`ProcessConfig`]) walk
+//! flavours and return `Result` with
+//! [`engine::EngineError::StepCapExceeded`] instead of panicking when the
+//! safety cap fires.
 //!
 //! The [`block`] module implements the realization blocks of Section 4 and
 //! the `CP`/`StP`/`PtS`/`PtU_R` transforms whose bijectivity yields
 //! `τ_seq ⪯ τ_par` (Theorem 4.1).
 //!
 //! ```
-//! use dispersion_core::process::{sequential::run_sequential, ProcessConfig};
+//! use dispersion_core::process::{Process, ProcessConfig};
 //! use dispersion_graphs::generators::complete;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let g = complete(16);
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let out = run_sequential(&g, 0, &ProcessConfig::simple(), &mut rng).unwrap();
+//! let out = Process::Sequential
+//!     .run(&g, 0, &ProcessConfig::simple(), &mut rng)
+//!     .unwrap();
 //! assert_eq!(out.n(), 16);
 //! assert!(out.dispersion_time >= 1);
 //! ```

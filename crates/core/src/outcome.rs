@@ -1,10 +1,15 @@
 //! Outcome of a dispersion-process run.
 
+use crate::block::algorithms::TimedBlock;
 use crate::block::Block;
 use dispersion_graphs::Vertex;
 
 /// What one run of a dispersion process produced.
-#[derive(Clone, Debug)]
+///
+/// [`crate::process::Process::run`] fills every field; the clock fields
+/// (`settle_tick`, `time`) are zero in outcomes assembled by
+/// [`DispersionOutcome::new`].
+#[derive(Clone, Debug, Default)]
 pub struct DispersionOutcome {
     /// The origin vertex all particles started from.
     pub origin: Vertex,
@@ -18,8 +23,23 @@ pub struct DispersionOutcome {
     /// Total number of steps `Σ_i steps[i]` — equidistributed between the
     /// sequential and parallel processes (Theorem 4.1).
     pub total_steps: u64,
+    /// Global tick at which the last particle settled — the Uniform
+    /// dispersion time. Equals `total_steps` under schedules without no-op
+    /// ticks.
+    pub settle_tick: u64,
+    /// Real time at which the last particle settled — the dispersion time
+    /// of the continuous-time processes; `0.0` for the discrete ones.
+    pub time: f64,
     /// Full trajectories, when recording was requested.
     pub block: Option<Block>,
+    /// Rows plus the tick of every jump, for a recorded Uniform run;
+    /// suitable for comparison with [`crate::block::parallel_to_uniform`].
+    pub timed: Option<TimedBlock>,
+    /// The realized schedule `R_1, R_2, …` (particle index per tick) of a
+    /// recorded Uniform run; feeding it back through
+    /// [`crate::block::parallel_to_uniform`] reproduces this exact run (the
+    /// Theorem 4.7 bijection for fixed `R`).
+    pub schedule: Option<Vec<usize>>,
 }
 
 impl DispersionOutcome {
@@ -52,6 +72,7 @@ impl DispersionOutcome {
             dispersion_time,
             total_steps,
             block,
+            ..Self::default()
         }
     }
 

@@ -1,38 +1,19 @@
-//! Continuous-time IDLA variants (Section 4.3).
-//!
-//! * **CTU-IDLA**: every particle carries a rate-1 exponential clock and
-//!   moves when it rings, until it settles. Simulated by superposition: with
-//!   `k` unsettled particles the next relevant ring arrives after an
-//!   `Exp(k)` delay and belongs to a uniform unsettled particle. (Rings of
-//!   settled particles are no-ops and need not be simulated.)
-//! * **Continuous Sequential-IDLA**: the sequential process with jump times
-//!   given by a Poisson process of intensity 1, so a particle that makes
-//!   `ρ` jumps settles at a `Gamma(ρ, 1)`-distributed time on its own clock.
+//! Continuous-time IDLA support (Section 4.3): the `Gamma(ρ, 1)` sampler
+//! behind [`super::Process::ContinuousSequential`], and the
+//! per-walker-clock twin of [`super::Process::Ctu`] that the
+//! statistical-equivalence suite checks it against.
 //!
 //! Theorem 4.8: `τ_c-unif = τ_par (1 + o(1))`; the clique constants of
 //! Theorem 5.2 are proved through exactly this equivalence.
-//!
-//! The walk/settle loop lives in [`crate::engine`]; this module is the
-//! schedule-specific entry point kept for API compatibility.
 
-use crate::engine::observer::TrajectoryBlock;
 use crate::engine::schedule::CtuClocks;
 use crate::engine::{self, EngineConfig, EngineError, FirstVacant};
 use crate::outcome::DispersionOutcome;
-use crate::process::{Process, ProcessConfig};
+use crate::process::ProcessConfig;
 use dispersion_graphs::{Topology, Vertex};
 use rand::{Rng, RngExt};
 
 pub use crate::engine::schedule::sample_exponential;
-
-/// Outcome of a continuous-time run.
-#[derive(Clone, Debug)]
-pub struct ContinuousOutcome {
-    /// Per-particle view (steps, settle vertices).
-    pub outcome: DispersionOutcome,
-    /// Real (clock) time at which the last particle settled.
-    pub settle_time: f64,
-}
 
 /// Samples `Gamma(shape, 1)` for integer `shape ≥ 0` (sum of exponentials
 /// up to shape 32, Marsaglia–Tsang squeeze beyond).
@@ -63,39 +44,16 @@ pub fn sample_gamma_int<R: Rng + ?Sized>(shape: u64, rng: &mut R) -> f64 {
     }
 }
 
-/// Runs one continuous-time Uniform-IDLA (CTU-IDLA) realization on any
-/// [`Topology`] backend.
-///
-/// # Errors
-///
-/// Returns [`EngineError::StepCapExceeded`] if the walk-step cap fires.
-///
-/// # Panics
-///
-/// Panics if `origin` is out of range.
-pub fn run_ctu<T: Topology + ?Sized, R: Rng + ?Sized>(
-    g: &T,
-    origin: Vertex,
-    cfg: &ProcessConfig,
-    rng: &mut R,
-) -> Result<ContinuousOutcome, EngineError> {
-    let out = Process::Ctu.run_observed(g, origin, cfg, &mut (), rng)?;
-    let outcome = DispersionOutcome::new(origin, out.steps, out.settled_at, None);
-    Ok(ContinuousOutcome {
-        outcome,
-        settle_time: out.time,
-    })
-}
-
 /// Runs one CTU-IDLA realization with the literal per-walker-clock
 /// schedule ([`CtuClocks`]: one rate-1 exponential clock per walker, kept
 /// in a shrinking lazily-pruned min-heap) instead of the superposition
-/// schedule used by [`run_ctu`].
+/// schedule of [`super::Process::Ctu`].
 ///
 /// The two are equal in law by memorylessness; this entry point exists as
 /// the cross-implementation twin for the statistical-equivalence suite
 /// (`crates/core/tests/schedule_equivalence.rs`) — production paths should
-/// prefer [`run_ctu`], whose moves cost O(1) instead of O(log k).
+/// prefer [`super::Process::Ctu`], whose moves cost O(1) instead of
+/// O(log k).
 ///
 /// # Errors
 ///
@@ -109,48 +67,20 @@ pub fn run_ctu_clocks<T: Topology + ?Sized, R: Rng + ?Sized>(
     origin: Vertex,
     cfg: &ProcessConfig,
     rng: &mut R,
-) -> Result<ContinuousOutcome, EngineError> {
+) -> Result<DispersionOutcome, EngineError> {
     let ecfg = EngineConfig::full(g, origin, cfg);
     let out = engine::run(g, &mut CtuClocks::new(), &FirstVacant, &ecfg, &mut (), rng)?;
-    let outcome = DispersionOutcome::new(origin, out.steps, out.settled_at, None);
-    Ok(ContinuousOutcome {
-        outcome,
-        settle_time: out.time,
-    })
-}
-
-/// Runs one continuous-time Sequential-IDLA realization: a discrete
-/// sequential run whose per-particle settle time is `Gamma(ρ_i, 1)` on the
-/// particle's own unit-rate Poisson clock; the dispersion time is the
-/// maximum over particles.
-///
-/// # Errors
-///
-/// Returns [`EngineError::StepCapExceeded`] if the walk-step cap fires.
-pub fn run_continuous_sequential<T: Topology + ?Sized, R: Rng + ?Sized>(
-    g: &T,
-    origin: Vertex,
-    cfg: &ProcessConfig,
-    rng: &mut R,
-) -> Result<ContinuousOutcome, EngineError> {
-    let mut traj = cfg.record_trajectories.then(TrajectoryBlock::new);
-    let out = Process::ContinuousSequential.run_observed(g, origin, cfg, &mut traj, rng)?;
-    let outcome = DispersionOutcome::new(
-        origin,
-        out.steps,
-        out.settled_at,
-        traj.map(TrajectoryBlock::into_block),
-    );
-    Ok(ContinuousOutcome {
-        outcome,
-        settle_time: out.time,
+    Ok(DispersionOutcome {
+        settle_tick: out.settle_tick,
+        time: out.time,
+        ..DispersionOutcome::new(origin, out.steps, out.settled_at, None)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::parallel::run_parallel;
+    use crate::process::Process;
     use dispersion_graphs::generators::{complete, cycle, hypercube};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -193,11 +123,13 @@ mod tests {
     fn ctu_covers_every_vertex() {
         let g = cycle(9);
         let mut rng = StdRng::seed_from_u64(3);
-        let o = run_ctu(&g, 0, &ProcessConfig::simple(), &mut rng).unwrap();
-        let mut settled = o.outcome.settled_at.clone();
+        let o = Process::Ctu
+            .run(&g, 0, &ProcessConfig::simple(), &mut rng)
+            .unwrap();
+        let mut settled = o.settled_at.clone();
         settled.sort_unstable();
         assert_eq!(settled, (0..9).collect::<Vec<_>>());
-        assert!(o.settle_time > 0.0);
+        assert!(o.time > 0.0);
     }
 
     #[test]
@@ -209,9 +141,10 @@ mod tests {
         let trials = 400;
         let mean: f64 = (0..trials)
             .map(|_| {
-                run_ctu(&g, 0, &ProcessConfig::simple(), &mut rng)
+                Process::Ctu
+                    .run(&g, 0, &ProcessConfig::simple(), &mut rng)
                     .unwrap()
-                    .settle_time
+                    .time
             })
             .sum::<f64>()
             / trials as f64;
@@ -227,10 +160,10 @@ mod tests {
         let g = cycle(9);
         let mut rng = StdRng::seed_from_u64(3);
         let o = run_ctu_clocks(&g, 0, &ProcessConfig::simple(), &mut rng).unwrap();
-        let mut settled = o.outcome.settled_at.clone();
+        let mut settled = o.settled_at.clone();
         settled.sort_unstable();
         assert_eq!(settled, (0..9).collect::<Vec<_>>());
-        assert!(o.settle_time > 0.0);
+        assert!(o.time > 0.0);
     }
 
     #[test]
@@ -245,7 +178,7 @@ mod tests {
             .map(|_| {
                 run_ctu_clocks(&g, 0, &ProcessConfig::simple(), &mut rng)
                     .unwrap()
-                    .settle_time
+                    .time
             })
             .sum::<f64>()
             / trials as f64;
@@ -265,10 +198,12 @@ mod tests {
         let mut ctu = 0.0;
         let mut par = 0.0;
         for _ in 0..trials {
-            ctu += run_ctu(&g, 0, &ProcessConfig::simple(), &mut rng)
+            ctu += Process::Ctu
+                .run(&g, 0, &ProcessConfig::simple(), &mut rng)
                 .unwrap()
-                .settle_time;
-            par += run_parallel(&g, 0, &ProcessConfig::simple(), &mut rng)
+                .time;
+            par += Process::Parallel
+                .run(&g, 0, &ProcessConfig::simple(), &mut rng)
                 .unwrap()
                 .dispersion_time as f64;
         }
@@ -278,12 +213,14 @@ mod tests {
 
     #[test]
     fn continuous_sequential_time_close_to_steps() {
-        // Gamma(ρ,1) concentrates at ρ, so settle_time ≈ dispersion_time
-        // for long walks.
+        // Gamma(ρ,1) concentrates at ρ, so time ≈ dispersion_time for
+        // long walks.
         let g = cycle(32);
         let mut rng = StdRng::seed_from_u64(6);
-        let o = run_continuous_sequential(&g, 0, &ProcessConfig::simple(), &mut rng).unwrap();
-        let ratio = o.settle_time / o.outcome.dispersion_time as f64;
+        let o = Process::ContinuousSequential
+            .run(&g, 0, &ProcessConfig::simple(), &mut rng)
+            .unwrap();
+        let ratio = o.time / o.dispersion_time as f64;
         assert!((0.5..1.5).contains(&ratio), "ratio {ratio}");
     }
 }

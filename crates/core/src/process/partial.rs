@@ -126,14 +126,14 @@ fn partial_outcome(origin: Vertex, steps: Vec<u64>, settled_at: Vec<Vertex>) -> 
         settled_at,
         dispersion_time,
         total_steps,
-        block: None,
+        ..DispersionOutcome::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::parallel::run_parallel;
+    use crate::process::Process;
     use dispersion_graphs::generators::{complete, cycle, torus2d};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -171,7 +171,8 @@ mod tests {
         let mut full = 0u64;
         let mut kn = 0u64;
         for _ in 0..trials {
-            full += run_parallel(&g, 0, &ProcessConfig::simple(), &mut rng)
+            full += Process::Parallel
+                .run(&g, 0, &ProcessConfig::simple(), &mut rng)
                 .unwrap()
                 .dispersion_time;
             kn += run_parallel_k(&g, 0, 24, &ProcessConfig::simple(), &mut rng)
@@ -253,14 +254,10 @@ mod tests {
         let mut single = 0u64;
         let mut spread = 0u64;
         for _ in 0..trials {
-            single += crate::process::sequential::run_sequential(
-                &g,
-                0,
-                &ProcessConfig::simple(),
-                &mut rng,
-            )
-            .unwrap()
-            .dispersion_time;
+            single += Process::Sequential
+                .run(&g, 0, &ProcessConfig::simple(), &mut rng)
+                .unwrap()
+                .dispersion_time;
             spread += run_sequential_random_origins(&g, 64, &ProcessConfig::simple(), &mut rng)
                 .unwrap()
                 .dispersion_time;

@@ -70,7 +70,7 @@ pub fn run_parallel_with_rule<T: Topology + ?Sized, S: SettleRule, R: Rng + ?Siz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::sequential::run_sequential;
+    use crate::process::Process;
     use dispersion_graphs::generators::clique_with_hair;
     use dispersion_graphs::generators::cycle;
     use rand::rngs::StdRng;
@@ -88,7 +88,8 @@ mod tests {
                 run_sequential_with_rule(&g, 0, &FirstVacant, &ProcessConfig::simple(), &mut rng)
                     .unwrap()
                     .dispersion_time;
-            std_total += run_sequential(&g, 0, &ProcessConfig::simple(), &mut rng)
+            std_total += Process::Sequential
+                .run(&g, 0, &ProcessConfig::simple(), &mut rng)
                 .unwrap()
                 .dispersion_time;
         }
@@ -129,7 +130,8 @@ mod tests {
             modified += run_sequential_with_rule(&g, v, &rule, &ProcessConfig::simple(), &mut rng)
                 .unwrap()
                 .dispersion_time;
-            standard += run_sequential(&g, v, &ProcessConfig::simple(), &mut rng)
+            standard += Process::Sequential
+                .run(&g, v, &ProcessConfig::simple(), &mut rng)
                 .unwrap()
                 .dispersion_time;
         }

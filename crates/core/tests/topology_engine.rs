@@ -10,11 +10,9 @@
 
 use dispersion_core::engine::observer::{DispersionTime, Odometer};
 use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVacant};
-use dispersion_core::process::parallel::run_parallel;
 use dispersion_core::process::partial::{run_parallel_k, run_sequential_random_origins};
-use dispersion_core::process::sequential::run_sequential;
 use dispersion_core::process::stopping::{run_sequential_with_rule, DelayedExcept};
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::process::{Process, ProcessConfig};
 use dispersion_graphs::generators::{cycle, hypercube, torus2d};
 use dispersion_graphs::topology::{Cycle, Hypercube, Lazified, Torus2d};
 use dispersion_graphs::Topology;
@@ -115,12 +113,12 @@ fn process_wrappers_accept_implicit_backends() {
     let t = Torus2d::new(6);
     let cfg = ProcessConfig::simple();
     let mut rng = StdRng::seed_from_u64(1);
-    let o = run_sequential(&t, 0, &cfg, &mut rng).unwrap();
+    let o = Process::Sequential.run(&t, 0, &cfg, &mut rng).unwrap();
     let mut settled = o.settled_at.clone();
     settled.sort_unstable();
     assert_eq!(settled, (0..36).collect::<Vec<_>>());
 
-    let o = run_parallel(&t, 0, &cfg, &mut rng).unwrap();
+    let o = Process::Parallel.run(&t, 0, &cfg, &mut rng).unwrap();
     assert_eq!(o.n(), 36);
 
     let o = run_parallel_k(&t, 0, 10, &cfg, &mut rng).unwrap();
@@ -148,10 +146,12 @@ fn lazy_walkkind_equals_lazified_view_distributionally() {
     let mut lazy_kind = 0u64;
     let mut lazy_view = 0u64;
     for _ in 0..trials {
-        lazy_kind += run_sequential(&t, 0, &ProcessConfig::lazy(), &mut rng)
+        lazy_kind += Process::Sequential
+            .run(&t, 0, &ProcessConfig::lazy(), &mut rng)
             .unwrap()
             .dispersion_time;
-        lazy_view += run_sequential(&Lazified(t), 0, &ProcessConfig::simple(), &mut rng)
+        lazy_view += Process::Sequential
+            .run(&Lazified(t), 0, &ProcessConfig::simple(), &mut rng)
             .unwrap()
             .dispersion_time;
     }
@@ -208,7 +208,7 @@ fn implicit_cap_surfaces_as_error() {
     let t = Torus2d::new(16);
     let cfg = ProcessConfig::simple().with_cap(8);
     let mut rng = StdRng::seed_from_u64(3);
-    let err = run_sequential(&t, 0, &cfg, &mut rng).unwrap_err();
+    let err = Process::Sequential.run(&t, 0, &cfg, &mut rng).unwrap_err();
     assert!(matches!(err, EngineError::StepCapExceeded { cap: 8, .. }));
 }
 
@@ -219,8 +219,12 @@ fn lazy_walk_matches_between_walkkinds_exactly() {
     let cfg = ProcessConfig::lazy();
     let mut rng_a = StdRng::seed_from_u64(13);
     let mut rng_b = StdRng::seed_from_u64(13);
-    let a = run_sequential(&cycle(21), 0, &cfg, &mut rng_a).unwrap();
-    let b = run_sequential(&Cycle::new(21), 0, &cfg, &mut rng_b).unwrap();
+    let a = Process::Sequential
+        .run(&cycle(21), 0, &cfg, &mut rng_a)
+        .unwrap();
+    let b = Process::Sequential
+        .run(&Cycle::new(21), 0, &cfg, &mut rng_b)
+        .unwrap();
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.settled_at, b.settled_at);
 }
@@ -237,10 +241,12 @@ fn lazified_view_never_clones_for_walks() {
     let mut lazy_total = 0u64;
     let mut simple_total = 0u64;
     for _ in 0..trials {
-        lazy_total += run_sequential(&view, 0, &ProcessConfig::simple(), &mut rng)
+        lazy_total += Process::Sequential
+            .run(&view, 0, &ProcessConfig::simple(), &mut rng)
             .unwrap()
             .dispersion_time;
-        simple_total += run_sequential(&g, 0, &ProcessConfig::simple(), &mut rng)
+        simple_total += Process::Sequential
+            .run(&g, 0, &ProcessConfig::simple(), &mut rng)
             .unwrap()
             .dispersion_time;
     }

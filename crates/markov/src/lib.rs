@@ -39,7 +39,6 @@ pub mod hitting;
 pub mod mixing;
 pub mod multiwalk;
 pub mod resistance;
-pub mod returns;
 pub mod stationary;
 pub mod transition;
 pub mod walker;

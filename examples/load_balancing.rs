@@ -17,9 +17,7 @@
 //! cargo run --release --example load_balancing
 //! ```
 
-use dispersion_core::process::parallel::run_parallel;
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::process::{Process, ProcessConfig};
 use dispersion_graphs::generators::random_regular_connected;
 use dispersion_sim::dominance::ks_p_value;
 use dispersion_sim::parallel::par_trials;
@@ -39,20 +37,28 @@ fn main() {
     );
 
     let seq_disp = par_trials(trials, 0, 21, |_, rng| {
-        run_sequential(&cluster, 0, &cfg, rng)
+        Process::Sequential
+            .run(&cluster, 0, &cfg, rng)
             .unwrap()
             .dispersion_time as f64
     });
     let par_disp = par_trials(trials, 0, 22, |_, rng| {
-        run_parallel(&cluster, 0, &cfg, rng)
+        Process::Parallel
+            .run(&cluster, 0, &cfg, rng)
             .unwrap()
             .dispersion_time as f64
     });
     let seq_traffic = par_trials(trials, 0, 23, |_, rng| {
-        run_sequential(&cluster, 0, &cfg, rng).unwrap().total_steps as f64
+        Process::Sequential
+            .run(&cluster, 0, &cfg, rng)
+            .unwrap()
+            .total_steps as f64
     });
     let par_traffic = par_trials(trials, 0, 24, |_, rng| {
-        run_parallel(&cluster, 0, &cfg, rng).unwrap().total_steps as f64
+        Process::Parallel
+            .run(&cluster, 0, &cfg, rng)
+            .unwrap()
+            .total_steps as f64
     });
 
     let sd = Summary::from_samples(&seq_disp);

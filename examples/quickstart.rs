@@ -6,13 +6,8 @@
 //! ```
 
 use dispersion_bounds::constants::{kappa_cc_default, PI2_OVER_6};
-use dispersion_core::process::continuous::run_ctu;
-use dispersion_core::process::parallel::run_parallel;
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::uniform::run_uniform;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::process::{Process, ProcessConfig};
 use dispersion_graphs::generators::complete;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::{Measure, Summary, Xoshiro256pp};
 
 fn main() {
@@ -25,26 +20,23 @@ fn main() {
     println!("Dispersion processes on K_{n} from vertex {origin}\n");
 
     // --- one realization of each process ---
-    let seq = run_sequential(&g, origin, &cfg, &mut rng).unwrap();
+    let seq = Process::Sequential.run(&g, origin, &cfg, &mut rng).unwrap();
     println!(
         "Sequential-IDLA : dispersion {:5} steps, total {:6} steps",
         seq.dispersion_time, seq.total_steps
     );
-    let par = run_parallel(&g, origin, &cfg, &mut rng).unwrap();
+    let par = Process::Parallel.run(&g, origin, &cfg, &mut rng).unwrap();
     println!(
         "Parallel-IDLA   : dispersion {:5} rounds, total {:6} steps",
         par.dispersion_time, par.total_steps
     );
-    let unif = run_uniform(&g, origin, &cfg, &mut rng).unwrap();
+    let unif = Process::Uniform.run(&g, origin, &cfg, &mut rng).unwrap();
     println!(
         "Uniform-IDLA    : settled after {:5} ticks ({} jumps)",
-        unif.settle_tick, unif.outcome.total_steps
+        unif.settle_tick, unif.total_steps
     );
-    let ctu = run_ctu(&g, origin, &cfg, &mut rng).unwrap();
-    println!(
-        "CTU-IDLA        : settled at real time {:8.1}",
-        ctu.settle_time
-    );
+    let ctu = Process::Ctu.run(&g, origin, &cfg, &mut rng).unwrap();
+    println!("CTU-IDLA        : settled at real time {:8.1}", ctu.time);
 
     // --- Monte-Carlo estimates against the paper's Theorem 5.2 ---
     println!("\nMonte-Carlo means over 200 trials (Theorem 5.2 predictions):");

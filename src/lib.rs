@@ -7,12 +7,12 @@
 //!
 //! ```
 //! use dispersion_repro::graphs::generators::complete;
-//! use dispersion_repro::core::process::{sequential::run_sequential, ProcessConfig};
+//! use dispersion_repro::core::process::{Process, ProcessConfig};
 //! use dispersion_repro::sim::Xoshiro256pp;
 //!
 //! let g = complete(32);
 //! let mut rng = Xoshiro256pp::new(1);
-//! let out = run_sequential(&g, 0, &ProcessConfig::simple(), &mut rng).unwrap();
+//! let out = Process::Sequential.run(&g, 0, &ProcessConfig::simple(), &mut rng).unwrap();
 //! assert_eq!(out.settled_at.len(), 32);
 //! ```
 

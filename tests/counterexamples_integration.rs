@@ -2,9 +2,8 @@
 //! (non-concentration), Prop 3.8 (`t_hit ≫ t_seq`), Prop A.1 (no least
 //! action).
 
-use dispersion_repro::core::process::sequential::run_sequential;
 use dispersion_repro::core::process::stopping::{run_sequential_with_rule, DelayedExcept};
-use dispersion_repro::core::process::ProcessConfig;
+use dispersion_repro::core::process::{Process, ProcessConfig};
 use dispersion_repro::graphs::generators::{clique_with_hair, tree_with_path};
 use dispersion_repro::markov::hitting::max_hitting_time;
 use dispersion_repro::markov::transition::WalkKind;
@@ -17,7 +16,10 @@ fn prop_2_1_clique_with_hair_is_bimodal() {
     let (g, v, _) = clique_with_hair(n);
     let cfg = ProcessConfig::simple();
     let samples = par_trials(600, 0, 1, |_, rng| {
-        run_sequential(&g, v, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .run(&g, v, &cfg, rng)
+            .unwrap()
+            .dispersion_time as f64
     });
     let s = Summary::from_samples(&samples);
     // slow branch = walks that must re-enter via v: Ω(n²)
@@ -45,7 +47,7 @@ fn prop_3_8_path_tip_is_covered_early() {
     let n = g.n();
     let cfg = ProcessConfig::simple();
     let late = par_trials(300, 0, 2, |_, rng| {
-        let o = run_sequential(&g, root, &cfg, rng).unwrap();
+        let o = Process::Sequential.run(&g, root, &cfg, rng).unwrap();
         // in Sequential-IDLA the particle index IS the settle order
         let idx = o.particle_at()[tip as usize];
         (idx >= (9 * n) / 10) as u64 as f64
@@ -69,7 +71,10 @@ fn prop_3_8_hitting_dispersion_gap_grows_with_path_length() {
         let (g, root, _) = tree_with_path(7, k);
         let thit = max_hitting_time(&g, WalkKind::Simple);
         let samples = par_trials(250, 0, seed, |_, rng| {
-            run_sequential(&g, root, &cfg, rng).unwrap().dispersion_time as f64
+            Process::Sequential
+                .run(&g, root, &cfg, rng)
+                .unwrap()
+                .dispersion_time as f64
         });
         let s = Summary::from_samples(&samples);
         ratios.push(thit / s.median);
@@ -91,7 +96,10 @@ fn prop_a_1_delayed_rule_beats_first_vacant() {
     };
     let cfg = ProcessConfig::simple();
     let standard = par_trials(300, 0, 3, |_, rng| {
-        run_sequential(&g, v, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .run(&g, v, &cfg, rng)
+            .unwrap()
+            .dispersion_time as f64
     });
     let modified = par_trials(300, 0, 4, |_, rng| {
         run_sequential_with_rule(&g, v, &rule, &cfg, rng)

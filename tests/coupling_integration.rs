@@ -8,12 +8,9 @@ use dispersion_repro::core::block::validate::{
 use dispersion_repro::core::block::{
     parallel_to_sequential, parallel_to_uniform, sequential_to_parallel,
 };
-use dispersion_repro::core::process::parallel::run_parallel;
-use dispersion_repro::core::process::sequential::run_sequential;
-use dispersion_repro::core::process::ProcessConfig;
+use dispersion_repro::core::process::{Process, ProcessConfig};
 use dispersion_repro::graphs::families::{Family, Instance};
 use dispersion_repro::sim::dominance::{dominance_violation, ks_p_value};
-use dispersion_repro::sim::experiment::Process;
 use dispersion_repro::sim::Measure;
 use dispersion_repro::sim::Xoshiro256pp;
 use rand::RngExt;
@@ -43,13 +40,17 @@ fn recorded_realizations_are_valid_blocks() {
         let cfg = ProcessConfig::simple().recording();
         let mut rng = Xoshiro256pp::new(100 + k as u64);
         for _ in 0..5 {
-            let s = run_sequential(&inst.graph, inst.origin, &cfg, &mut rng).unwrap();
+            let s = Process::Sequential
+                .run(&inst.graph, inst.origin, &cfg, &mut rng)
+                .unwrap();
             let sb = s.block.as_ref().unwrap();
             assert!(is_sequential_block(sb), "{}", inst.label);
             assert!(rows_are_walks(sb, &inst.graph, false));
             assert!(s.consistent_with_block());
 
-            let p = run_parallel(&inst.graph, inst.origin, &cfg, &mut rng).unwrap();
+            let p = Process::Parallel
+                .run(&inst.graph, inst.origin, &cfg, &mut rng)
+                .unwrap();
             let pb = p.block.as_ref().unwrap();
             assert!(is_parallel_block(pb), "{}", inst.label);
             assert!(rows_are_walks(pb, &inst.graph, false));
@@ -66,7 +67,8 @@ fn stp_pts_bijection_on_real_runs() {
         let cfg = ProcessConfig::simple().recording();
         let mut rng = Xoshiro256pp::new(200 + k as u64);
         for _ in 0..5 {
-            let sb = run_sequential(&inst.graph, inst.origin, &cfg, &mut rng)
+            let sb = Process::Sequential
+                .run(&inst.graph, inst.origin, &cfg, &mut rng)
                 .unwrap()
                 .block
                 .unwrap();
@@ -80,7 +82,8 @@ fn stp_pts_bijection_on_real_runs() {
             // Lemma 4.6
             assert!(stp.max_row_length() >= sb.max_row_length());
 
-            let pb = run_parallel(&inst.graph, inst.origin, &cfg, &mut rng)
+            let pb = Process::Parallel
+                .run(&inst.graph, inst.origin, &cfg, &mut rng)
                 .unwrap()
                 .block
                 .unwrap();
@@ -97,7 +100,8 @@ fn lazy_realizations_respect_the_same_coupling() {
     let inst = Family::Complete.instance(24, &mut grng);
     let cfg = ProcessConfig::lazy().recording();
     let mut rng = Xoshiro256pp::new(78);
-    let sb = run_sequential(&inst.graph, inst.origin, &cfg, &mut rng)
+    let sb = Process::Sequential
+        .run(&inst.graph, inst.origin, &cfg, &mut rng)
         .unwrap()
         .block
         .unwrap();
@@ -164,7 +168,8 @@ fn theorem_4_7_uniform_blocks_map_to_parallel() {
     let cfg = ProcessConfig::simple().recording();
     let mut rng = Xoshiro256pp::new(501);
     for trial in 0..10 {
-        let pb = run_parallel(&inst.graph, inst.origin, &cfg, &mut rng)
+        let pb = Process::Parallel
+            .run(&inst.graph, inst.origin, &cfg, &mut rng)
             .unwrap()
             .block
             .unwrap();

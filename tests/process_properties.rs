@@ -5,10 +5,7 @@ use dispersion_repro::core::block::validate::{
     has_distinct_endpoints, is_parallel_block, is_sequential_block, rows_are_walks,
 };
 use dispersion_repro::core::block::{parallel_to_sequential, sequential_to_parallel};
-use dispersion_repro::core::process::parallel::run_parallel;
-use dispersion_repro::core::process::sequential::run_sequential;
-use dispersion_repro::core::process::uniform::run_uniform;
-use dispersion_repro::core::process::ProcessConfig;
+use dispersion_repro::core::process::{Process, ProcessConfig};
 use dispersion_repro::graphs::{Graph, GraphBuilder, Vertex};
 use dispersion_repro::sim::Xoshiro256pp;
 use proptest::prelude::*;
@@ -41,7 +38,7 @@ proptest! {
     #[test]
     fn sequential_settles_all_vertices((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let o = run_sequential(&g, origin, &ProcessConfig::simple(), &mut rng).unwrap();
+        let o = Process::Sequential.run(&g, origin, &ProcessConfig::simple(), &mut rng).unwrap();
         let mut settled = o.settled_at.clone();
         settled.sort_unstable();
         prop_assert_eq!(settled, (0..g.n() as Vertex).collect::<Vec<_>>());
@@ -52,7 +49,7 @@ proptest! {
     #[test]
     fn parallel_settles_all_vertices((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let o = run_parallel(&g, origin, &ProcessConfig::simple(), &mut rng).unwrap();
+        let o = Process::Parallel.run(&g, origin, &ProcessConfig::simple(), &mut rng).unwrap();
         let mut settled = o.settled_at.clone();
         settled.sort_unstable();
         prop_assert_eq!(settled, (0..g.n() as Vertex).collect::<Vec<_>>());
@@ -66,7 +63,7 @@ proptest! {
     fn recorded_blocks_valid_and_transformable((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
         let cfg = ProcessConfig::simple().recording();
-        let s = run_sequential(&g, origin, &cfg, &mut rng).unwrap();
+        let s = Process::Sequential.run(&g, origin, &cfg, &mut rng).unwrap();
         let sb = s.block.unwrap();
         prop_assert!(is_sequential_block(&sb));
         prop_assert!(rows_are_walks(&sb, &g, false));
@@ -84,7 +81,7 @@ proptest! {
     fn parallel_blocks_roundtrip((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
         let cfg = ProcessConfig::simple().recording();
-        let p = run_parallel(&g, origin, &cfg, &mut rng).unwrap();
+        let p = Process::Parallel.run(&g, origin, &cfg, &mut rng).unwrap();
         let pb = p.block.unwrap();
         prop_assert!(is_parallel_block(&pb));
         let pts = parallel_to_sequential(&pb);
@@ -97,9 +94,9 @@ proptest! {
     #[test]
     fn uniform_outcome_consistent((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let o = run_uniform(&g, origin, &ProcessConfig::simple().recording(), &mut rng).unwrap();
-        prop_assert!(o.settle_tick >= o.outcome.dispersion_time);
-        prop_assert!(o.outcome.consistent_with_block());
+        let o = Process::Uniform.run(&g, origin, &ProcessConfig::simple().recording(), &mut rng).unwrap();
+        prop_assert!(o.settle_tick >= o.dispersion_time);
+        prop_assert!(o.consistent_with_block());
         let timed = o.timed.unwrap();
         prop_assert_eq!(timed.settle_tick(), o.settle_tick);
         // a uniform block transforms into a valid parallel block (Thm 4.7)
@@ -110,7 +107,7 @@ proptest! {
     #[test]
     fn lazy_runs_also_cover((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let o = run_sequential(&g, origin, &ProcessConfig::lazy(), &mut rng).unwrap();
+        let o = Process::Sequential.run(&g, origin, &ProcessConfig::lazy(), &mut rng).unwrap();
         let mut settled = o.settled_at.clone();
         settled.sort_unstable();
         prop_assert_eq!(settled, (0..g.n() as Vertex).collect::<Vec<_>>());
